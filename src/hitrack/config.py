@@ -17,7 +17,7 @@ a stage with odd or empty grids.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -176,7 +176,3 @@ def geometry(config: ModelConfig) -> ModelGeometry:
             ShrinkGeometry(full.layout, stages[stage + 1].layout, q_coords, index, full.table_shape)
         )
     return ModelGeometry(tuple(stages), tuple(shrinks))
-
-
-def with_dtype(config: ModelConfig, dtype: str) -> ModelConfig:
-    return replace(config, dtype=dtype)

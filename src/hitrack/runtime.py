@@ -3,8 +3,14 @@
 Crops follow the area-based context rule: a square window of side
 ``factor * sqrt(w * h)`` centered on the box (factor 2 for the template,
 factor 4 for the search region), bilinearly resampled with half-pixel centers
-to the configured input size. Samples falling entirely outside the frame are
-filled with the per-channel frame mean, exactly.
+to the configured input size. The resample is separable: each distinct tap
+row and tap column is gathered once, a horizontal lerp runs once per tap row
+and a vertical lerp finishes each output row, so the work is bounded by the
+output size however large the box is. Taps outside the frame read the
+per-channel frame mean, and samples falling entirely outside the frame are
+filled with it exactly; the mean is computed only when some tap leaves the
+frame. Non-finite boxes, and non-finite pixels among the values a crop reads,
+raise ``NumericError``.
 
 ``track_sequence`` implements the per-frame protocol: the template is taken
 once from the first frame, every later frame is cropped around the previous
@@ -20,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, NumericError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -36,6 +42,15 @@ class CropMapping:
         return (self.center[0] - self.side / 2.0, self.center[1] - self.side / 2.0)
 
 
+def _tap_index(first):
+    """Distinct taps ``first`` and ``first + 1`` along one axis, sorted.
+
+    Returns the taps and, for each of the ``2 * len(first)`` samples (all
+    ``first`` taps, then all ``first + 1`` taps), its index into them.
+    """
+    return np.unique(np.concatenate((first, first + 1)), return_inverse=True)
+
+
 def crop_resize(frame: np.ndarray, box_xywh, factor: float, out_size: int):
     """Square context crop around a box, resized to ``out_size``.
 
@@ -46,6 +61,8 @@ def crop_resize(frame: np.ndarray, box_xywh, factor: float, out_size: int):
     if frame.ndim != 3 or frame.shape[2] != 3:
         raise ShapeError(f"frames are HxWx3, got {frame.shape}")
     x, y, w, h = (float(v) for v in box_xywh)
+    if not np.isfinite((x, y, w, h)).all():
+        raise NumericError(f"cannot crop around a non-finite box {box_xywh}")
     if w <= 0.0 or h <= 0.0:
         raise DataError(f"cannot crop around a zero-area box {box_xywh}")
     side = factor * np.sqrt(w * h)
@@ -56,8 +73,6 @@ def crop_resize(frame: np.ndarray, box_xywh, factor: float, out_size: int):
 
     fh, fw = frame.shape[:2]
     dtype = frame.dtype if frame.dtype.kind == "f" else np.float32
-    img = frame.astype(dtype, copy=False)
-    mean = img.reshape(-1, 3).mean(axis=0)
 
     # Sample coordinates in pixel-index space (pixel (r, c) centered at (c+.5, r+.5)).
     us = x0 + (np.arange(out_size) + 0.5) * side / out_size - 0.5
@@ -67,23 +82,42 @@ def crop_resize(frame: np.ndarray, box_xywh, factor: float, out_size: int):
     fu = (us - c0).astype(dtype)
     fv = (vs - r0).astype(dtype)
 
-    def gather(rows, cols):
-        rr = rows[:, None]
-        cc = cols[None, :]
-        valid = (rr >= 0) & (rr < fh) & (cc >= 0) & (cc < fw)
-        vals = img[np.clip(rr, 0, fh - 1), np.clip(cc, 0, fw - 1)]
-        vals = np.where(valid[:, :, None], vals, mean)
-        return vals, valid
+    # Gather every distinct tap row x tap column once; taps off the frame read the mean.
+    rows, ri = _tap_index(r0)
+    cols, ci = _tap_index(c0)
+    block = frame[np.clip(rows, 0, fh - 1)[:, None], np.clip(cols, 0, fw - 1)]
+    block = block.astype(dtype, copy=False)
+    row_in = (rows >= 0) & (rows < fh)
+    col_in = (cols >= 0) & (cols < fw)
+    fill = not (row_in.all() and col_in.all())
+    if fill:
+        mean = frame.astype(dtype, copy=False).reshape(-1, 3).mean(axis=0)
+        block[~row_in] = mean
+        block[:, ~col_in] = mean
+    if not np.isfinite(block).all():
+        raise NumericError("non-finite pixel values in the crop window")
 
-    p00, v00 = gather(r0, c0)
-    p01, v01 = gather(r0, c0 + 1)
-    p10, v10 = gather(r0 + 1, c0)
-    p11, v11 = gather(r0 + 1, c0 + 1)
-    wu = fu[None, :, None]
-    wv = fv[:, None, None]
-    patch = (1 - wv) * ((1 - wu) * p00 + wu * p01) + wv * ((1 - wu) * p10 + wu * p11)
-    outside = ~(v00 | v01 | v10 | v11)
-    patch[outside] = mean  # exact mean fill where no tap touches the frame
+    # Horizontal lerp once per tap row, then vertical lerp. Rows are laid out
+    # as (column, channel) so each product runs along a contiguous row. Both
+    # lerps run in place: the same products and sum as (1 - w) * a + w * b,
+    # with no temporary per operand.
+    n = out_size
+    wu = np.repeat(fu, 3)
+    wv = fv[:, None]
+    lerp_u = np.take(block, ci[:n], axis=1).reshape(len(rows), 3 * n)
+    right = np.take(block, ci[n:], axis=1).reshape(len(rows), 3 * n)
+    lerp_u *= 1 - wu
+    right *= wu
+    lerp_u += right
+    patch = np.take(lerp_u, ri[:n], axis=0)
+    bottom = np.take(lerp_u, ri[n:], axis=0)
+    patch *= 1 - wv
+    bottom *= wv
+    patch += bottom
+    patch = patch.reshape(n, n, 3)
+    if fill:  # exact mean fill where no tap touches the frame
+        patch[~(row_in[ri[:n]] | row_in[ri[n:]])] = mean
+        patch[:, ~(col_in[ci[:n]] | col_in[ci[n:]])] = mean
     return patch, mapping
 
 
@@ -116,6 +150,8 @@ def track_sequence(frames, init_box, tracker) -> TrackResult:
     if not frames:
         raise DataError("empty sequence")
     x, y, w, h = (float(v) for v in init_box)
+    if not np.isfinite((x, y, w, h)).all():
+        raise NumericError(f"init box {init_box} is not finite")
     if w <= 0 or h <= 0:
         raise DataError(f"init box {init_box} has no area")
     tracker.init(frames[0], (x, y, w, h))
@@ -125,6 +161,8 @@ def track_sequence(frames, init_box, tracker) -> TrackResult:
     for idx, frame in enumerate(frames[1:], start=1):
         try:
             box, decision, dt = tracker.step(frame, idx, boxes[-1])
+        except NumericError:
+            raise
         except Exception as exc:
             raise DataError(f"tracker failed at frame {idx + 1}: {exc}") from exc
         boxes.append(tuple(float(v) for v in box))

@@ -181,6 +181,18 @@ class TestExitCodes:
                      "--out", str(tmp_path / "r.hitw")])
         assert code == cli.NUMERIC_ERROR
 
+    def test_non_finite_init_box_is_4(self, seq_dir, tmp_path):
+        nan_dir = tmp_path / "seq"
+        nan_dir.mkdir()
+        for frame in seq_dir.glob("*.ppm"):
+            (nan_dir / frame.name).write_bytes(frame.read_bytes())
+        lines = (seq_dir / "groundtruth.txt").read_text().splitlines()
+        lines[0] = "nan,10.0,12.0,12.0"
+        (nan_dir / "groundtruth.txt").write_text("\n".join(lines) + "\n")
+        code = main(["track", "--variant", "toy", "--frames", str(nan_dir),
+                     "--tracker", "full", "--out", str(tmp_path / "o.txt")])
+        assert code == cli.NUMERIC_ERROR
+
     def test_weights_round_trip_through_cli_model(self, seq_dir, tmp_path):
         from hitrack.weights import init_weights, save_weights
         cfg = hitrack.make_config("toy")

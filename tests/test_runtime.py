@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hitrack.errors import DataError
+from hitrack import runtime
+from hitrack.errors import DataError, NumericError
 from hitrack.runtime import (CropMapping, crop_resize, gen_synthetic, load_frames,
                              map_box_to_crop, map_box_to_frame, read_boxes, read_ppm,
                              track_sequence, write_ppm, write_sequence)
@@ -58,6 +61,173 @@ class TestCropResize:
         a, _ = crop_resize(frame, box, 4.0, 96)
         b, _ = crop_resize(frame, box, 4.0, 96)
         assert np.array_equal(a, b)
+
+
+def reference_crop(frame, box_xywh, factor, out_size):
+    """The four-gather bilinear crop, kept as the oracle for ``crop_resize``."""
+    frame = np.asarray(frame)
+    x, y, w, h = (float(v) for v in box_xywh)
+    side = factor * np.sqrt(w * h)
+    cx = x + w / 2.0
+    cy = y + h / 2.0
+    mapping = CropMapping((cx, cy), float(side), int(out_size))
+    x0, y0 = mapping.origin
+
+    fh, fw = frame.shape[:2]
+    dtype = frame.dtype if frame.dtype.kind == "f" else np.float32
+    img = frame.astype(dtype, copy=False)
+    mean = img.reshape(-1, 3).mean(axis=0)
+
+    # Sample coordinates in pixel-index space (pixel (r, c) centered at (c+.5, r+.5)).
+    us = x0 + (np.arange(out_size) + 0.5) * side / out_size - 0.5
+    vs = y0 + (np.arange(out_size) + 0.5) * side / out_size - 0.5
+    c0 = np.floor(us).astype(np.int64)
+    r0 = np.floor(vs).astype(np.int64)
+    fu = (us - c0).astype(dtype)
+    fv = (vs - r0).astype(dtype)
+
+    def gather(rows, cols):
+        rr = rows[:, None]
+        cc = cols[None, :]
+        valid = (rr >= 0) & (rr < fh) & (cc >= 0) & (cc < fw)
+        vals = img[np.clip(rr, 0, fh - 1), np.clip(cc, 0, fw - 1)]
+        vals = np.where(valid[:, :, None], vals, mean)
+        return vals, valid
+
+    p00, v00 = gather(r0, c0)
+    p01, v01 = gather(r0, c0 + 1)
+    p10, v10 = gather(r0 + 1, c0)
+    p11, v11 = gather(r0 + 1, c0 + 1)
+    wu = fu[None, :, None]
+    wv = fv[:, None, None]
+    patch = (1 - wv) * ((1 - wu) * p00 + wu * p01) + wv * ((1 - wu) * p10 + wu * p11)
+    outside = ~(v00 | v01 | v10 | v11)
+    patch[outside] = mean  # exact mean fill where no tap touches the frame
+    return patch, mapping
+
+
+BOX_KINDS = ("inside", "left", "right", "top", "bottom", "outside", "huge", "subpixel")
+
+
+def random_box(rng, kind, factor, fh, fw):
+    """A box whose ``factor`` crop lands where ``kind`` says, relative to the frame."""
+    if kind == "huge":  # crop side at least 100x the larger frame extent
+        w = h = 100.0 * max(fh, fw) * rng.uniform(1.0, 2.0) / factor
+        cx, cy = rng.uniform(0, fw), rng.uniform(0, fh)
+        return (cx - w / 2, cy - h / 2, w, h)
+    if kind == "subpixel":
+        w, h = rng.uniform(0.01, 0.5, 2)
+        cx, cy = rng.uniform(-1.0, fw + 1.0), rng.uniform(-1.0, fh + 1.0)
+        return (cx - w / 2, cy - h / 2, w, h)
+    w, h = rng.uniform(1.0, min(fh, fw) / (2 * factor), 2)
+    half = factor * np.sqrt(w * h) / 2
+    cx, cy = rng.uniform(half + 1, fw - half - 1), rng.uniform(half + 1, fh - half - 1)
+    if kind == "left":
+        cx = rng.uniform(-half / 2, half / 2)
+    elif kind == "right":
+        cx = fw + rng.uniform(-half / 2, half / 2)
+    elif kind == "top":
+        cy = rng.uniform(-half / 2, half / 2)
+    elif kind == "bottom":
+        cy = fh + rng.uniform(-half / 2, half / 2)
+    elif kind == "outside":
+        cx = -half - rng.uniform(2.0, 50.0)
+        cy = rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 2 * fh)
+    return (cx - w / 2, cy - h / 2, w, h)
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+class TestCropMatchesReference:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+    @pytest.mark.parametrize("out_size", [16, 64, 128, 256])
+    def test_byte_identical_to_four_gather_reference(self, dtype, out_size):
+        rng = np.random.default_rng(out_size * 10 + np.dtype(dtype).itemsize)
+        for seed in range(2):
+            fh, fw = rng.integers(24, 72, 2)
+            frame = rng.uniform(0, 255, (fh, fw, 3)).astype(dtype)
+            for factor in (2.0, 4.0):
+                for kind in BOX_KINDS:
+                    box = random_box(rng, kind, factor, fh, fw)
+                    got, mapping = crop_resize(frame, box, factor, out_size)
+                    want, expect = reference_crop(frame, box, factor, out_size)
+                    assert mapping == expect
+                    assert_same_bytes(got, want)
+
+    def test_non_contiguous_frame(self):
+        frame = checker_frame(h=80, w=120)[::2, ::3]
+        for box in ((10.0, 5.0, 6.0, 4.0), (-3.0, 20.0, 9.0, 9.0)):
+            assert_same_bytes(crop_resize(frame, box, 4.0, 64)[0],
+                              reference_crop(frame, box, 4.0, 64)[0])
+
+    @pytest.mark.parametrize("out_size", [16, 64])
+    def test_huge_box_gathers_at_most_2out_squared_taps(self, monkeypatch, out_size):
+        frame = checker_frame(h=600, w=800).astype(np.float64)
+        counts = []
+        tap_index = runtime._tap_index
+
+        def counting(first):
+            taps, inverse = tap_index(first)
+            counts.append(len(taps))
+            return taps, inverse
+
+        monkeypatch.setattr(runtime, "_tap_index", counting)
+        for box in ((-40000.0, -40000.0, 80000.0, 80000.0), (-100.0, -100.0, 1000.0, 800.0)):
+            counts.clear()
+            tracemalloc.start()
+            try:
+                patch, _ = crop_resize(frame, box, 4.0, out_size)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            n_rows, n_cols = counts
+            assert n_rows * n_cols <= (2 * out_size) ** 2
+            # the gathered block, not the frame, bounds what a crop allocates
+            assert peak < 8 * (2 * out_size) ** 2 * 3 * frame.itemsize < frame.nbytes
+            assert_same_bytes(patch, reference_crop(frame, box, 4.0, out_size)[0])
+
+
+class TestCropReadsOnlyWhatItNeeds:
+    def test_in_frame_crop_reads_neither_outside_pixels_nor_mean(self):
+        frame = checker_frame()
+        box = (50.3, 40.7, 6.2, 5.1)
+        clean, mapping = crop_resize(frame, box, 4.0, 64)
+        x0, y0 = mapping.origin
+        c_lo = int(np.floor(x0 + 0.5 * mapping.side / 64 - 0.5))
+        r_lo = int(np.floor(y0 + 0.5 * mapping.side / 64 - 0.5))
+        c_hi = int(np.floor(x0 + 63.5 * mapping.side / 64 - 0.5)) + 1
+        r_hi = int(np.floor(y0 + 63.5 * mapping.side / 64 - 0.5)) + 1
+        assert 0 <= r_lo < r_hi < frame.shape[0] and 0 <= c_lo < c_hi < frame.shape[1]
+        poisoned = np.full_like(frame, np.nan)
+        poisoned[r_lo:r_hi + 1, c_lo:c_hi + 1] = frame[r_lo:r_hi + 1, c_lo:c_hi + 1]
+        patch, _ = crop_resize(poisoned, box, 4.0, 64)
+        assert_same_bytes(patch, clean)
+
+    def test_straddling_crop_reads_the_mean(self):
+        frame = checker_frame()
+        frame[-1, -1, 0] = np.nan  # far from the crop, but inside the mean
+        with pytest.raises(NumericError):
+            crop_resize(frame, (0.0, 0.0, 10.0, 10.0), 4.0, 64)
+
+
+class TestCropRejectsNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pos", range(4))
+    def test_non_finite_box_entry(self, bad, pos):
+        box = [40.0, 30.0, 16.0, 12.0]
+        box[pos] = bad
+        with pytest.raises(NumericError):
+            crop_resize(checker_frame(), box, 4.0, 64)
+
+    def test_non_finite_tap(self):
+        frame = checker_frame()
+        frame[40, 50, 1] = np.inf
+        with pytest.raises(NumericError):
+            crop_resize(frame, (44.0, 34.0, 12.0, 12.0), 2.0, 32)
 
 
 class TestMapBoxToFrame:
@@ -140,6 +310,16 @@ class TestTrackSequence:
     def test_bad_init_box_rejected(self):
         with pytest.raises(DataError):
             track_sequence([checker_frame()], (0, 0, 0, 1), CenterOracle(64))
+
+    def test_non_finite_init_box_rejected(self):
+        with pytest.raises(NumericError):
+            track_sequence([checker_frame()], (0.0, np.nan, 4.0, 4.0), CenterOracle(64))
+
+    def test_numeric_error_in_step_propagates(self):
+        bad = checker_frame()
+        bad[:] = np.nan
+        with pytest.raises(NumericError):
+            track_sequence([checker_frame(), bad], (40.0, 30.0, 16.0, 16.0), CenterOracle(64))
 
 
 class TestGenSynthetic:
