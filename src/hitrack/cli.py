@@ -66,6 +66,8 @@ def _build_config(args, file_values):
     overrides = {k: v for k, v in file_values.items() if k not in ("variant", "threshold", "seed")}
     if getattr(args, "tau_fg", None) is not None:
         overrides["tau_fg"] = args.tau_fg
+    if getattr(args, "classify_every_n", None) is not None:
+        overrides["classify_every_n"] = args.classify_every_n
     if getattr(args, "dtype", None):
         overrides["dtype"] = args.dtype
     return make_config(variant, **overrides)
@@ -155,8 +157,7 @@ def _make_tracker(args, cfg, params, file_values):
         if not args.base_results:
             raise DataError("--base-results is required for the dytracker")
         base = routing.file_base_tracker(args.base_results)
-    return routing.make_tracker(args.tracker, params, threshold, base,
-                                getattr(args, "classify_every_n", None))
+    return routing.make_tracker(args.tracker, params, threshold, base)
 
 
 def cmd_track(args):

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 from . import posenc
 
 DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -90,6 +90,8 @@ class ModelConfig:
             raise ShapeError(f"C1 must be divisible by 8 for the embed/head channel ramps, got {c1}")
         if self.bridge_kernel not in (2, 4):
             raise ShapeError("bridge_kernel must be 2 or 4 (stride-2 upsampling)")
+        if self.classify_every_n < 1:
+            raise DataError(f"classify_every_n must be >= 1, got {self.classify_every_n}")
 
     @property
     def np_dtype(self):

@@ -25,7 +25,7 @@ import numpy as np
 from .boxes import center_distance_xywh, iou_xywh
 from .config import ModelConfig, geometry
 from .errors import DataError
-from .routing import DyHiTTracker
+from .routing import make_tracker
 from .runtime import track_sequence
 
 iou = iou_xywh
@@ -317,7 +317,7 @@ def _workers() -> int:
     return max(1, n)
 
 
-def threshold_sweep(t_grid, sequences, params, classify_every_n: int | None = None) -> list[SweepRow]:
+def threshold_sweep(t_grid, sequences, params) -> list[SweepRow]:
     """One row per threshold over a suite of (frames, gt-boxes) sequences.
 
     Boxes and routing are deterministic given the sequences; only the fps
@@ -332,7 +332,7 @@ def threshold_sweep(t_grid, sequences, params, classify_every_n: int | None = No
         suite.append((list(frames), [tuple(float(v) for v in b) for b in gt]))
 
     def run_one(threshold, frames, gt):
-        tracker = DyHiTTracker(params, threshold, classify_every_n)
+        tracker = make_tracker("dyhit", params, threshold)
         result = track_sequence(frames, gt[0], tracker)
         ious = [iou_xywh(p, g) for p, g in zip(result.boxes, gt)]
         r1 = sum(1 for d in result.decisions if d.route == "route1")

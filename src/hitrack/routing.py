@@ -10,10 +10,13 @@ always routes full under the strict comparisons below).
 Dispatch (threshold T): F > T runs the fast route, Head1 on (s_max, g1),
 and the rest of the network is never executed; F <= T runs stages 2-3, the
 bridge and Head2. The tie F == T deliberately takes the full route.
+``route_head`` is the one place that maps a route to its head.
 
-The same decision gates an arbitrary base tracker in ``DyTracker``: easy
-frames are answered by the fast route, hard frames are re-predicted by the
-base tracker from the raw frame (fast-route features are never fed to it).
+``Tracker`` runs that dispatch on a sequence, with the route fixed (the
+``route1`` and ``full`` kinds) or chosen by the router (``dyhit``). The same
+decision gates an arbitrary base tracker (``dytracker``): easy frames are
+answered by the fast route, hard frames are re-predicted by the base tracker
+from the raw frame (fast-route features are never fed to it).
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import runtime
 from .backbone import Stage1State, continue_forward, embed_template, stage1_forward
-from .errors import DataError, ShapeError
+from .errors import DataError, NumericError, ShapeError
 from .fusion import BoxPrediction, bridge, corner_head
 from .tensor import hardswish, linear, mac_scope, sigmoid
 from .weights import ModelParams, RouterWeights
@@ -77,11 +80,11 @@ def route_decision(s_max_feat: np.ndarray, w: RouterWeights, threshold: float) -
     return RouteDecision(scores, f, float(threshold), route, fallback)
 
 
-def route1_head(state: Stage1State, params: ModelParams) -> BoxPrediction:
-    return corner_head(state.s_max, state.g1, params.head1, scope="head1")
-
-
-def route2_head(state: Stage1State, params: ModelParams) -> BoxPrediction:
+def route_head(state: Stage1State, params: ModelParams, route: str) -> BoxPrediction:
+    """The route's answer from stage-1 features: Head1, or stages 2-3, the
+    bridge and Head2."""
+    if route == ROUTE1:
+        return corner_head(state.s_max, state.g1, params.head1, scope="head1")
     outs = continue_forward(state, params)
     fused = bridge(outs.s_max, outs.s_mid, outs.s_min, params.bridge)
     return corner_head(fused, outs.g, params.head2, scope="head2")
@@ -89,12 +92,12 @@ def route2_head(state: Stage1State, params: ModelParams) -> BoxPrediction:
 
 def route1_forward(template_img, search_img, params: ModelParams) -> BoxPrediction:
     """Standalone fast route: stage 1 + Head1, no router involved."""
-    return route1_head(stage1_forward(template_img, search_img, params), params)
+    return route_head(stage1_forward(template_img, search_img, params), params, ROUTE1)
 
 
 def full_forward(template_img, search_img, params: ModelParams) -> BoxPrediction:
     """The plain static tracker: all stages, bridge, Head2, no router."""
-    return route2_head(stage1_forward(template_img, search_img, params), params)
+    return route_head(stage1_forward(template_img, search_img, params), params, ROUTE2)
 
 
 def dyhit_forward(template_img, search_img, params: ModelParams,
@@ -102,9 +105,7 @@ def dyhit_forward(template_img, search_img, params: ModelParams,
     """Early-exit dispatch on one image pair."""
     state = stage1_forward(template_img, search_img, params)
     decision = route_decision(state.s_max, params.router, threshold)
-    if decision.route == ROUTE1:
-        return route1_head(state, params), decision
-    return route2_head(state, params), decision
+    return route_head(state, params, decision.route), decision
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +115,6 @@ class OracleBaseTracker:
     """Test double for a high-performance tracker: ground truth plus seeded
     Gaussian jitter on center and size. Noise is keyed by (seed, frame index)
     so predictions do not depend on which frames were routed to it."""
-
-    latency_class = "oracle"
 
     def __init__(self, gt_boxes, noise_scale: float, seed: int):
         self.gt = [tuple(float(v) for v in b) for b in gt_boxes]
@@ -149,8 +148,6 @@ def oracle_base_tracker(gt_boxes, noise_scale: float, seed: int) -> OracleBaseTr
 
 class FileBaseTracker:
     """Replays per-frame boxes precomputed by any external tracker."""
-
-    latency_class = "file"
 
     def __init__(self, path):
         self.path = path
@@ -197,154 +194,80 @@ def crop_reference(box, min_extent: float = MIN_CROP_EXTENT):
     return (cx - w / 2.0, cy - h / 2.0, w, h)
 
 
-class _ModelTracker:
-    def __init__(self, params: ModelParams):
+class Tracker:
+    """Crop, stage 1, route, answer: the one tracker behind every kind.
+
+    ``route`` fixes the route (ROUTE1 or ROUTE2) and the router never runs;
+    the decision is then None. Otherwise the router decides at ``threshold``,
+    running on every ``config.classify_every_n``-th step and reusing its last
+    decision in between. ``base`` answers route-2 frames from the raw frame
+    (fast-route features are never fed to it); ``route1_override`` answers
+    route-1 frames (used by tests to model a fast tracker of known accuracy).
+    Any other frame is answered by ``route_head``.
+    """
+
+    def __init__(self, params: ModelParams, threshold: float = 0.5, route: str | None = None,
+                 base=None, route1_override=None):
+        if route not in (None, ROUTE1, ROUTE2):
+            raise DataError(f"unknown route {route!r}")
         self.params = params
+        self.threshold = float(threshold)
+        self.route = route
+        self.base = base
+        self.route1_override = route1_override
         self.template = None
         self.template_grid = None  # template embed is fixed per sequence
+        self._last: RouteDecision | None = None
+        self._steps = 0
 
     def init(self, frame, box) -> None:
         cfg = self.params.config
         self.template, _ = runtime.crop_resize(frame, box, TEMPLATE_FACTOR, cfg.template_size)
         self.template_grid = embed_template(self.template, self.params)
-
-    def _stage1(self, patch) -> Stage1State:
-        return stage1_forward(self.template, patch, self.params, self.template_grid)
-
-    def _search(self, frame, prev_box):
-        return runtime.crop_resize(frame, crop_reference(prev_box), SEARCH_FACTOR,
-                                   self.params.config.search_size)
-
-
-class Route1Tracker(_ModelTracker):
-    """Fast route only (stage 1 + Head1)."""
-
-    def step(self, frame, frame_index, prev_box):
-        patch, mapping = self._search(frame, prev_box)
-        t0 = runtime.now()
-        pred = route1_head(self._stage1(patch), self.params)
-        dt = runtime.now() - t0
-        return runtime.map_box_to_frame(pred.corners, mapping), None, dt
-
-
-class FullTracker(_ModelTracker):
-    """Static full pipeline (all stages, bridge, Head2)."""
-
-    def step(self, frame, frame_index, prev_box):
-        patch, mapping = self._search(frame, prev_box)
-        t0 = runtime.now()
-        pred = route2_head(self._stage1(patch), self.params)
-        dt = runtime.now() - t0
-        return runtime.map_box_to_frame(pred.corners, mapping), None, dt
-
-
-class DyHiTTracker(_ModelTracker):
-    """Early-exit tracker; classify_every_n > 1 reuses the last decision."""
-
-    def __init__(self, params: ModelParams, threshold: float, classify_every_n: int | None = None):
-        super().__init__(params)
-        self.threshold = float(threshold)
-        self.every = int(params.config.classify_every_n if classify_every_n is None
-                         else classify_every_n)
-        if self.every < 1:
-            raise DataError("classify_every_n must be >= 1")
-        self._last: RouteDecision | None = None
-        self._steps = 0
-        self.router_runs = 0
-
-    def init(self, frame, box) -> None:
-        super().init(frame, box)
         self._last = None
         self._steps = 0
-        self.router_runs = 0
+        for helper in (self.base, self.route1_override):
+            if helper is not None:
+                helper.init(frame, box)
 
     def step(self, frame, frame_index, prev_box):
-        patch, mapping = self._search(frame, prev_box)
+        """One frame: (box_xywh, RouteDecision | None, seconds after the crop)."""
+        params = self.params
+        patch, mapping = runtime.crop_resize(frame, crop_reference(prev_box), SEARCH_FACTOR,
+                                             params.config.search_size)
         t0 = runtime.now()
-        state = self._stage1(patch)
-        if self._steps % self.every == 0 or self._last is None:
-            decision = route_decision(state.s_max, self.params.router, self.threshold)
-            self.router_runs += 1
-        else:
-            decision = dc_replace(self._last, reused=True)
-        self._last = decision
-        self._steps += 1
-        if decision.route == ROUTE1:
-            pred = route1_head(state, self.params)
-        else:
-            pred = route2_head(state, self.params)
-        dt = runtime.now() - t0
-        return runtime.map_box_to_frame(pred.corners, mapping), decision, dt
-
-
-class DyTracker(_ModelTracker):
-    """Training-free gate: fast route plus router around a base tracker.
-
-    ``route1_override`` substitutes the fast-route predictor (used by tests to
-    model a fast tracker of known accuracy); routing still uses the real
-    stage-1 features. The base tracker only ever sees the raw frame.
-    """
-
-    def __init__(self, params: ModelParams, threshold: float, base,
-                 route1_override=None):
-        super().__init__(params)
-        self.threshold = float(threshold)
-        self.base = base
-        self.route1_override = route1_override
-
-    def init(self, frame, box) -> None:
-        super().init(frame, box)
-        self.base.init(frame, box)
-        if self.route1_override is not None:
-            self.route1_override.init(frame, box)
-
-    def step(self, frame, frame_index, prev_box):
-        patch, mapping = self._search(frame, prev_box)
-        t0 = runtime.now()
-        state = self._stage1(patch)
-        decision = route_decision(state.s_max, self.params.router, self.threshold)
-        if decision.route == ROUTE1:
-            if self.route1_override is not None:
-                box = self.route1_override.predict(frame_index, frame, prev_box)
+        state = stage1_forward(self.template, patch, params, self.template_grid)
+        decision = None
+        route = self.route
+        if route is None:
+            if self._steps % params.config.classify_every_n == 0:
+                decision = route_decision(state.s_max, params.router, self.threshold)
             else:
-                pred = route1_head(state, self.params)
-                box = runtime.map_box_to_frame(pred.corners, mapping)
-        else:
+                decision = dc_replace(self._last, reused=True)
+            self._last = decision
+            self._steps += 1
+            route = decision.route
+        if route == ROUTE2 and self.base is not None:
             box = self.base.predict(frame_index, frame, prev_box)
+        elif route == ROUTE1 and self.route1_override is not None:
+            box = self.route1_override.predict(frame_index, frame, prev_box)
+        else:
+            box = runtime.map_box_to_frame(route_head(state, params, route).corners, mapping)
         dt = runtime.now() - t0
+        if not np.isfinite(box).all():
+            raise NumericError(f"non-finite box {box} at frame {frame_index + 1}")
         return box, decision, dt
 
 
-def dytracker_step(frame, frame_index, prev_box, template_patch,
-                   params: ModelParams, base, threshold: float,
-                   route1_override=None):
-    """One gating step on a raw frame; returns (box_xywh, RouteDecision).
-
-    Functional form of ``DyTracker.step`` for callers that manage their own
-    template and loop state.
-    """
-    patch, mapping = runtime.crop_resize(frame, crop_reference(prev_box), SEARCH_FACTOR,
-                                         params.config.search_size)
-    state = stage1_forward(template_patch, patch, params)
-    decision = route_decision(state.s_max, params.router, threshold)
-    if decision.route == ROUTE1:
-        if route1_override is not None:
-            return route1_override.predict(frame_index, frame, prev_box), decision
-        pred = route1_head(state, params)
-        return runtime.map_box_to_frame(pred.corners, mapping), decision
-    return base.predict(frame_index, frame, prev_box), decision
-
-
-def make_tracker(kind: str, params: ModelParams, threshold: float = 0.5,
-                 base=None, classify_every_n: int | None = None):
+def make_tracker(kind: str, params: ModelParams, threshold: float = 0.5, base=None) -> Tracker:
     if kind == "route1":
-        return Route1Tracker(params)
+        return Tracker(params, threshold, route=ROUTE1)
     if kind == "full":
-        return FullTracker(params)
+        return Tracker(params, threshold, route=ROUTE2)
     if kind == "dyhit":
-        return DyHiTTracker(params, threshold, classify_every_n)
+        return Tracker(params, threshold)
     if kind == "dytracker":
         if base is None:
             raise DataError("dytracker needs a base tracker")
-        return DyTracker(params, threshold, base)
+        return Tracker(params, threshold, base=base)
     raise DataError(f"unknown tracker kind {kind!r}")

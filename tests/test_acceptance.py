@@ -13,7 +13,7 @@ from hitrack.backbone import stage1_forward
 from hitrack.boxes import iou_xywh
 from hitrack.errors import DataError
 from hitrack.evalbench import flop_account, threshold_sweep
-from hitrack.routing import DyTracker, dyhit_forward, full_forward, route1_forward
+from hitrack.routing import Tracker, dyhit_forward, full_forward, route1_forward
 from hitrack.weights import (count_params, init_weights, load_weights, named_arrays,
                              save_weights)
 
@@ -238,7 +238,7 @@ def test_c09_dytracker_gating(toy_cfg, synthetic_suite):
         gt = [tuple(b) for b in seq.boxes]
         noisy = routing.oracle_base_tracker(gt, 0.15, seed=1000 + si)
         base = routing.oracle_base_tracker(gt, 0.02, seed=2000 + si)
-        tracker = DyTracker(params, threshold, base=base, route1_override=noisy)
+        tracker = Tracker(params, threshold, base=base, route1_override=noisy)
         result = runtime.track_sequence(list(seq.frames), gt[0], tracker)
         routes.extend(d.route for d in result.decisions)
         dyt_ious.extend(iou_xywh(p, g) for p, g in zip(result.boxes, gt))

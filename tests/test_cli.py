@@ -75,6 +75,30 @@ class TestTrackEvalFlow:
         pred = runtime.read_boxes(out)
         assert pred[1:] == gt[1:]
 
+    def test_dytracker_classify_every_n(self, seq_dir, tmp_path):
+        gt = runtime.read_boxes(seq_dir / "groundtruth.txt")
+        base = tmp_path / "base.txt"
+        runtime.write_boxes(base, gt)
+        dec = tmp_path / "decisions.csv"
+        args = ["track", "--variant", "toy", "--frames", str(seq_dir), "--tracker", "dytracker",
+                "--threshold", "0", "--base-results", str(base),
+                "--out", str(tmp_path / "boxes.txt"), "--decisions-out", str(dec)]
+        assert main(args + ["--classify-every-n", "2"]) == 0
+        rows = [line.split(",") for line in dec.read_text().splitlines()[1:]]
+        assert [(int(r[0]), r[4]) for r in rows] == [(f, str(f % 2)) for f in range(2, 11)]
+        assert main(args + ["--classify-every-n", "0"]) == cli.DATA_ERROR
+
+    def test_non_finite_base_box_exits_numeric(self, seq_dir, tmp_path):
+        gt = runtime.read_boxes(seq_dir / "groundtruth.txt")
+        base = tmp_path / "base.txt"
+        base.write_text("".join(f"{x},{y},{w},{h}\n" for x, y, w, h in gt[:-1])
+                        + "nan,nan,nan,nan\n")
+        out = tmp_path / "boxes.txt"
+        assert main(["track", "--variant", "toy", "--frames", str(seq_dir),
+                     "--tracker", "dytracker", "--threshold", "1.0",
+                     "--base-results", str(base), "--out", str(out)]) == cli.NUMERIC_ERROR
+        assert not out.exists()
+
 
 class TestInfer:
     def test_infer_on_crops(self, seq_dir, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hitrack import evalbench, tensor
 from hitrack.errors import DataError
 from hitrack.evalbench import (SUCCESS_THRESHOLDS, evaluate_trace, flop_account,
                                iou, latency_bench, sweep_csv, threshold_sweep)
-from hitrack.routing import FullTracker, Route1Tracker
+from hitrack.routing import make_tracker
 from hitrack.runtime import gen_synthetic
 from hitrack.weights import count_params, init_weights
 
@@ -146,7 +146,7 @@ class TestFlopAccount:
 class TestLatencyBench:
     def test_stats_and_fps_consistency(self, toy_params):
         seq = gen_synthetic(seed=20, difficulty=0, length=6)
-        stats = latency_bench(Route1Tracker(toy_params), list(seq.frames),
+        stats = latency_bench(make_tracker("route1", toy_params), list(seq.frames),
                               tuple(seq.boxes[0]), warmup=1, reps=2)
         assert stats.mean_ms > 0
         assert np.isclose(stats.fps, 1000.0 / stats.mean_ms, rtol=1e-9)
@@ -154,20 +154,20 @@ class TestLatencyBench:
 
     def test_warmup_excluded_from_counts(self, toy_params):
         seq = gen_synthetic(seed=21, difficulty=0, length=5)
-        stats = latency_bench(FullTracker(toy_params), list(seq.frames),
+        stats = latency_bench(make_tracker("full", toy_params), list(seq.frames),
                               tuple(seq.boxes[0]), warmup=2, reps=3)
         # 3 timed reps x 4 tracked frames
         assert stats.per_route["static"][1] == 12
 
     def test_reps_validated(self, toy_params):
         with pytest.raises(DataError):
-            latency_bench(Route1Tracker(toy_params), [], (0, 0, 1, 1), warmup=0, reps=0)
+            latency_bench(make_tracker("route1", toy_params), [], (0, 0, 1, 1), warmup=0, reps=0)
 
     def test_route1_median_below_full_median(self, toy_params):
         seq = gen_synthetic(seed=22, difficulty=0, length=10)
         frames, box = list(seq.frames), tuple(seq.boxes[0])
-        fast = latency_bench(Route1Tracker(toy_params), frames, box, warmup=1, reps=2)
-        full = latency_bench(FullTracker(toy_params), frames, box, warmup=1, reps=2)
+        fast = latency_bench(make_tracker("route1", toy_params), frames, box, warmup=1, reps=2)
+        full = latency_bench(make_tracker("full", toy_params), frames, box, warmup=1, reps=2)
         assert fast.median_ms < full.median_ms
 
 
@@ -187,7 +187,7 @@ class TestThresholdSweep:
         ious = []
         for seq in suite:
             gt = [tuple(b) for b in seq.boxes]
-            res = track_sequence(list(seq.frames), gt[0], Route1Tracker(toy_params))
+            res = track_sequence(list(seq.frames), gt[0], make_tracker("route1", toy_params))
             ious.extend(iou(p, g) for p, g in zip(res.boxes, gt))
         assert np.isclose(rows[0].metric, np.mean(ious), atol=1e-12)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,12 @@ import hitrack
 from hitrack import routing, runtime
 from hitrack.backbone import stage1_forward
 from hitrack.boxes import iou_xywh
-from hitrack.errors import DataError, ShapeError
-from hitrack.routing import (DyHiTTracker, DyTracker, FullTracker, Route1Tracker,
-                             dyhit_forward, file_base_tracker, full_forward,
-                             oracle_base_tracker, route_decision, route1_forward,
-                             router_score)
+from hitrack.errors import DataError, NumericError, ShapeError
+from hitrack.evalbench import flop_account
+from hitrack.routing import (ROUTE1, ROUTE2, Tracker, dyhit_forward, file_base_tracker,
+                             full_forward, make_tracker, oracle_base_tracker, route_decision,
+                             route_head, route1_forward, router_score)
+from hitrack.tensor import count_macs
 from hitrack.weights import RouterWeights, init_weights
 
 
@@ -110,7 +113,7 @@ class TestDispatch:
         t = d.f - 0.05
         pred, decision = dyhit_forward(*toy_pair, toy_params, threshold=t)
         assert decision.route == routing.ROUTE1
-        assert pred.corners == routing.route1_head(state, toy_params).corners
+        assert pred.corners == route_head(state, toy_params, ROUTE1).corners
 
     def test_threshold_out_of_range(self, toy_params, toy_pair):
         with pytest.raises(DataError):
@@ -213,11 +216,11 @@ class TestDyTracker:
         noisy = oracle_base_tracker(gt, 0.15, seed=7)
         base = oracle_base_tracker(gt, 0.02, seed=8)
         # threshold at the median F so both branches fire
-        probe = DyTracker(toy_params, 0.5, base=oracle_base_tracker(gt, 0.02, seed=8),
-                          route1_override=oracle_base_tracker(gt, 0.15, seed=7))
+        probe = Tracker(toy_params, 0.5, base=oracle_base_tracker(gt, 0.02, seed=8),
+                        route1_override=oracle_base_tracker(gt, 0.15, seed=7))
         result = runtime.track_sequence(frames, gt[0], probe)
         t = float(np.median([d.f for d in result.decisions]))
-        tracker = DyTracker(toy_params, t, base=base, route1_override=noisy)
+        tracker = Tracker(toy_params, t, base=base, route1_override=noisy)
         result = runtime.track_sequence(frames, gt[0], tracker)
         routes = [d.route for d in result.decisions]
         assert routing.ROUTE1 in routes and routing.ROUTE2 in routes
@@ -227,7 +230,7 @@ class TestDyTracker:
 
     def test_route_log_matches_offline_recomputation(self, toy_params):
         frames, gt = self.make_suite()
-        tracker = DyHiTTracker(toy_params, threshold=0.45)
+        tracker = make_tracker("dyhit", toy_params, 0.45)
         result = runtime.track_sequence(frames, gt[0], tracker)
         for d in result.decisions:
             scores = d.score_map.reshape(-1)
@@ -240,7 +243,7 @@ class TestDyTracker:
     def test_zero_noise_base_gives_iou_one_on_hard_frames(self, toy_params):
         frames, gt = self.make_suite()
         base = oracle_base_tracker(gt, 0.0, seed=9)
-        tracker = DyTracker(toy_params, 1.0, base=base)  # every frame is "hard"
+        tracker = make_tracker("dytracker", toy_params, 1.0, base=base)  # every frame is "hard"
         result = runtime.track_sequence(frames, gt[0], tracker)
         assert all(d.route == routing.ROUTE2 for d in result.decisions)
         assert all(iou_xywh(p, g) == 1.0 for p, g in zip(result.boxes, gt))
@@ -248,14 +251,23 @@ class TestDyTracker:
     def test_base_tracker_failure_names_frame(self, toy_params):
         frames, gt = self.make_suite()
         short = oracle_base_tracker(gt[:3], 0.0, seed=1)
-        tracker = DyTracker(toy_params, 1.0, base=short)  # always route2
+        tracker = make_tracker("dytracker", toy_params, 1.0, base=short)  # always route2
         with pytest.raises(DataError, match="frame"):
             runtime.track_sequence(frames, gt[0], tracker)
 
+    def test_non_finite_base_box_names_frame(self, toy_params):
+        frames, gt = self.make_suite()
+        boxes = gt[:-1] + [(float("nan"),) * 4]
+        base = oracle_base_tracker(boxes, 0.0, seed=1)
+        tracker = make_tracker("dytracker", toy_params, 1.0, base=base)  # always route2
+        with pytest.raises(NumericError, match=f"frame {len(frames)}"):
+            runtime.track_sequence(frames, gt[0], tracker)
+
     def test_functional_step_matches_tracker_object(self, toy_params):
+        # the tracker caches the template embed; this reference loop does not
         frames, gt = self.make_suite()
         base = oracle_base_tracker(gt, 0.02, seed=12)
-        tracker = DyTracker(toy_params, 0.5, base=base)
+        tracker = make_tracker("dytracker", toy_params, 0.5, base=base)
         result = runtime.track_sequence(frames, gt[0], tracker)
         base2 = oracle_base_tracker(gt, 0.02, seed=12)
         base2.init(frames[0], gt[0])
@@ -263,29 +275,47 @@ class TestDyTracker:
                                      toy_params.config.template_size)
         prev = gt[0]
         for idx in range(1, len(frames)):
-            box, decision = routing.dytracker_step(frames[idx], idx, prev, tpl,
-                                                   toy_params, base2, 0.5)
+            patch, mapping = runtime.crop_resize(frames[idx], routing.crop_reference(prev),
+                                                 routing.SEARCH_FACTOR,
+                                                 toy_params.config.search_size)
+            state = stage1_forward(tpl, patch, toy_params)
+            decision = route_decision(state.s_max, toy_params.router, 0.5)
+            if decision.route == ROUTE1:
+                pred = route_head(state, toy_params, ROUTE1)
+                box = runtime.map_box_to_frame(pred.corners, mapping)
+            else:
+                box = base2.predict(idx, frames[idx], prev)
             assert decision.route == result.decisions[idx - 1].route
             assert decision.f == result.decisions[idx - 1].f
             assert tuple(box) == result.boxes[idx]
             prev = box
 
 
+def every_n(params, n):
+    return replace(params, config=replace(params.config, classify_every_n=n))
+
+
 class TestClassifyEveryN:
     def test_router_runs_halved(self, toy_params):
         seq = runtime.gen_synthetic(seed=33, difficulty=0, length=21)
         frames, gt = list(seq.frames), [tuple(b) for b in seq.boxes]
-        every = DyHiTTracker(toy_params, 0.5, classify_every_n=1)
-        runtime.track_sequence(frames, gt[0], every)
-        sparse = DyHiTTracker(toy_params, 0.5, classify_every_n=2)
-        result = runtime.track_sequence(frames, gt[0], sparse)
-        assert every.router_runs == 20
-        assert sparse.router_runs == 10
+        router_macs = flop_account(toy_params.config).extras["router"].macs
+        with count_macs() as every:
+            runtime.track_sequence(frames, gt[0], make_tracker("dyhit", every_n(toy_params, 1), 0.5))
+        with count_macs() as sparse:
+            result = runtime.track_sequence(frames, gt[0],
+                                            make_tracker("dyhit", every_n(toy_params, 2), 0.5))
+        assert every.get("router") == 20 * router_macs
+        assert sparse.get("router") == 10 * router_macs
         assert sum(d.reused for d in result.decisions) == 10
+
+    def test_must_be_positive(self):
+        with pytest.raises(DataError):
+            hitrack.make_config("toy", classify_every_n=0)
 
     def test_reused_decisions_keep_route_invariant(self, toy_params):
         seq = runtime.gen_synthetic(seed=34, difficulty=2, length=15)
-        tracker = DyHiTTracker(toy_params, 0.5, classify_every_n=3)
+        tracker = make_tracker("dyhit", every_n(toy_params, 3), 0.5)
         result = runtime.track_sequence(list(seq.frames), tuple(seq.boxes[0]), tracker)
         for d in result.decisions:
             assert d.route == (routing.ROUTE1 if d.f > d.threshold else routing.ROUTE2)
@@ -295,16 +325,66 @@ class TestTrackerGlue:
     def test_route1_and_full_trackers_produce_boxes(self, toy_params):
         seq = runtime.gen_synthetic(seed=35, difficulty=0, length=6)
         frames, gt = list(seq.frames), [tuple(b) for b in seq.boxes]
-        for cls in (Route1Tracker, FullTracker):
-            result = runtime.track_sequence(frames, gt[0], cls(toy_params))
+        for kind in ("route1", "full"):
+            result = runtime.track_sequence(frames, gt[0], make_tracker(kind, toy_params))
             assert len(result.boxes) == 6
             assert all(len(b) == 4 for b in result.boxes)
 
     def test_make_tracker_kinds(self, toy_params):
-        assert isinstance(routing.make_tracker("route1", toy_params), Route1Tracker)
-        assert isinstance(routing.make_tracker("full", toy_params), FullTracker)
-        assert isinstance(routing.make_tracker("dyhit", toy_params, 0.5), DyHiTTracker)
+        assert make_tracker("route1", toy_params).route == ROUTE1
+        assert make_tracker("full", toy_params).route == ROUTE2
+        dyhit = make_tracker("dyhit", toy_params, 0.5)
+        assert dyhit.route is None and dyhit.base is None
+        with pytest.raises(DataError):
+            Tracker(toy_params, route="route3")
         with pytest.raises(DataError):
             routing.make_tracker("dytracker", toy_params)
         with pytest.raises(DataError):
             routing.make_tracker("nope", toy_params)
+
+
+class TestMacContract:
+    """Every step's MACs per label equal ``flop_account`` for the route taken."""
+
+    @staticmethod
+    def expected(cfg):
+        report = flop_account(cfg)
+        modules = {k: c.macs for k, c in report.modules.items()}
+        extras = {k: c.macs for k, c in report.extras.items()}
+        # flop_account sums the template and search embeds; the template's is
+        # half of a square (template-sized) input's
+        square = replace(cfg, search_size=cfg.template_size)
+        template = flop_account(square).modules["embed"].macs // 2
+        trunk = {"embed": modules["embed"] - template, "stage1": modules["stage1"]}
+        full = dict(modules, embed=trunk["embed"])
+        fast = {**trunk, "head1": extras["head1"]}
+        router = {"router": extras["router"]}
+        return {"embed": template}, {
+            "route1": {ROUTE1: fast},
+            "full": {ROUTE2: full},
+            "dyhit": {ROUTE1: {**fast, **router}, ROUTE2: {**full, **router}},
+            "dytracker": {ROUTE1: {**fast, **router}, ROUTE2: {**trunk, **router}},
+        }
+
+    @pytest.mark.parametrize("kind", ["route1", "full", "dyhit", "dytracker"])
+    def test_step_macs_match_closed_form(self, toy_params, kind):
+        seq = runtime.gen_synthetic(seed=36, difficulty=1, length=8)
+        frames, gt = list(seq.frames), [tuple(b) for b in seq.boxes]
+        probe = runtime.track_sequence(frames, gt[0], make_tracker("dyhit", toy_params, 0.5))
+        threshold = float(np.median([d.f for d in probe.decisions]))  # both routes fire
+        init_macs, per_kind = self.expected(toy_params.config)
+        tracker = make_tracker(kind, toy_params, threshold,
+                               base=oracle_base_tracker(gt, 0.02, seed=3))
+        with count_macs() as counter:
+            tracker.init(frames[0], gt[0])
+        assert counter.counts == init_macs
+        routes = set()
+        prev = gt[0]
+        for idx in range(1, len(frames)):
+            with count_macs() as counter:
+                prev, decision, _ = tracker.step(frames[idx], idx, prev)
+            assert (decision is None) == (kind in ("route1", "full"))
+            route = tracker.route if decision is None else decision.route
+            routes.add(route)
+            assert {k: v for k, v in counter.counts.items() if v} == per_kind[kind][route]
+        assert routes == set(per_kind[kind])

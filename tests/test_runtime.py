@@ -291,11 +291,11 @@ class TestTrackSequence:
     def test_gt_feed_differs_from_protocol(self, toy_params):
         # guards against ground-truth leakage: feeding gt crops every frame
         # must change results on a drifting sequence
-        from hitrack.routing import Route1Tracker
+        from hitrack.routing import make_tracker
         seq = gen_synthetic(seed=4, difficulty=2, length=10)
         frames, gt = list(seq.frames), [tuple(b) for b in seq.boxes]
-        protocol = track_sequence(frames, gt[0], Route1Tracker(toy_params))
-        leak = Route1Tracker(toy_params)
+        protocol = track_sequence(frames, gt[0], make_tracker("route1", toy_params))
+        leak = make_tracker("route1", toy_params)
         leak.init(frames[0], gt[0])
         leaked = [gt[0]]
         for i in range(1, 10):
