@@ -79,19 +79,6 @@ class BlockWeights:
     mlp: MlpWeights
 
 
-_debug_sink = None
-
-
-def set_debug_sink(sink) -> None:
-    """Install a callable receiving every head's raw attention rows.
-
-    Inspection hook only (rows are post-softmax, one [T_q, T_k] matrix per
-    head per layer); pass None to disable.
-    """
-    global _debug_sink
-    _debug_sink = sink
-
-
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias, n_heads: int,
             key_dim: int, val_dim: int) -> np.ndarray:
     """Per-head scaled dot-product attention with bias, hardswish per head."""
@@ -104,10 +91,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias, n_heads: int,
         scores = matmul(qh, kh.T) / scale
         if bias is not None:
             scores = scores + bias[h]
-        attn = softmax_rows(scores)
-        if _debug_sink is not None:
-            _debug_sink(attn)
-        heads.append(hardswish(matmul(attn, vh)))
+        heads.append(hardswish(matmul(softmax_rows(scores), vh)))
     return np.concatenate(heads, axis=1)
 
 

@@ -16,11 +16,6 @@ def xywh_to_corners(box):
     return (x, y, x + w, y + h)
 
 
-def corners_to_xywh(box):
-    x1, y1, x2, y2 = (float(v) for v in box)
-    return (x1, y1, x2 - x1, y2 - y1)
-
-
 def box_area(box) -> float:
     x1, y1, x2, y2 = box
     return max(0.0, x2 - x1) * max(0.0, y2 - y1)

@@ -4,9 +4,6 @@ Subcommands: infer, track, sweep, bench, flops, fit-router, gen-synth, eval.
 A flat ``key = value`` config file can preload any model option; command-line
 flags win over config values. Exit codes: 0 success, 2 usage error, 3 data
 error, 4 numeric failure.
-
-``HIT_THREADS`` caps parallel sequence workers for the sweep (default 1 for
-reproducible benches).
 """
 from __future__ import annotations
 

@@ -15,9 +15,6 @@ frames with center error at most 20 pixels.
 """
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,9 +247,6 @@ def total_params_with_extras(report: CostReport) -> int:
 # ---------------------------------------------------------------------------
 # Wall-clock latency benchmarking.
 
-_bench_lock = threading.Lock()
-
-
 @dataclass
 class LatencyStats:
     mean_ms: float
@@ -266,22 +260,17 @@ def latency_bench(tracker, frames, init_box, warmup: int = 1, reps: int = 3) -> 
     """Time the forward/dispatch path over a sequence, crops excluded.
 
     The sequence is run ``warmup + reps`` times; per-frame forward times from
-    the warmup passes are discarded. Only one benchmark may run per process.
+    the warmup passes are discarded.
     """
     if reps < 1:
         raise DataError(f"reps must be >= 1, got {reps}")
-    if not _bench_lock.acquire(blocking=False):
-        raise DataError("a latency benchmark is already running in this process")
-    try:
-        times = []
-        routes = []
-        for rep in range(warmup + reps):
-            result = track_sequence(frames, init_box, tracker)
-            if rep >= warmup:
-                times.extend(result.forward_seconds)
-                routes.extend(d.route if d is not None else "static" for d in result.decisions)
-    finally:
-        _bench_lock.release()
+    times = []
+    routes = []
+    for rep in range(warmup + reps):
+        result = track_sequence(frames, init_box, tracker)
+        if rep >= warmup:
+            times.extend(result.forward_seconds)
+            routes.extend(d.route if d is not None else "static" for d in result.decisions)
     ms = np.asarray(times) * 1000.0
     per_route: dict[str, tuple[float, int]] = {}
     for route in sorted(set(routes)):
@@ -308,15 +297,6 @@ class SweepRow:
     route1_fraction: float
 
 
-def _workers() -> int:
-    value = os.environ.get("HIT_THREADS", "1")
-    try:
-        n = int(value)
-    except ValueError as exc:
-        raise DataError(f"HIT_THREADS must be an integer, got {value!r}") from exc
-    return max(1, n)
-
-
 def threshold_sweep(t_grid, sequences, params) -> list[SweepRow]:
     """One row per threshold over a suite of (frames, gt-boxes) sequences.
 
@@ -331,24 +311,14 @@ def threshold_sweep(t_grid, sequences, params) -> list[SweepRow]:
         frames, gt = (seq.frames, seq.boxes) if hasattr(seq, "frames") else seq
         suite.append((list(frames), [tuple(float(v) for v in b) for b in gt]))
 
-    def run_one(threshold, frames, gt):
-        tracker = make_tracker("dyhit", params, threshold)
-        result = track_sequence(frames, gt[0], tracker)
-        ious = [iou_xywh(p, g) for p, g in zip(result.boxes, gt)]
-        r1 = sum(1 for d in result.decisions if d.route == "route1")
-        return ious, r1, result.forward_seconds
-
     rows = []
-    workers = _workers()
     for t in t_grid:
-        if workers > 1 and len(suite) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outs = list(pool.map(lambda s: run_one(t, *s), suite))
-        else:
-            outs = [run_one(t, frames, gt) for frames, gt in suite]
-        ious = [v for out in outs for v in out[0]]
-        r1 = sum(out[1] for out in outs)
-        seconds = [s for out in outs for s in out[2]]
+        ious, seconds, r1 = [], [], 0
+        for frames, gt in suite:
+            result = track_sequence(frames, gt[0], make_tracker("dyhit", params, t))
+            ious.extend(iou_xywh(p, g) for p, g in zip(result.boxes, gt))
+            r1 += sum(1 for d in result.decisions if d.route == "route1")
+            seconds.extend(result.forward_seconds)
         # median per-frame forward time: robust against GC and scheduler spikes
         median = float(np.median(seconds))
         rows.append(SweepRow(

@@ -30,11 +30,6 @@ from .tensor import hardswish, hardswish_grad, sigmoid
 from .weights import RouterWeights
 
 
-def _box_wh(box):
-    x1, y1, x2, y2 = box
-    return x2 - x1, y2 - y1
-
-
 def giou_with_grad(a, b):
     """GIoU(a, b) and its gradient with respect to a's four coordinates.
 

@@ -125,11 +125,6 @@ def table_shape(coords: CoordMap) -> tuple[int, int]:
     return int(coords.rows.max()) + 1, int(coords.cols.max()) + 1
 
 
-def zero_bias_table(n_heads: int, coords: CoordMap, dtype=np.float32) -> np.ndarray:
-    rows, cols = table_shape(coords)
-    return np.zeros((n_heads, rows, cols), dtype=dtype)
-
-
 def gather_bias(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Look up per-head biases: out[h, i, j] = table[h, dr(i,j), dc(i,j)]."""
     dr = index[..., 0]

@@ -20,6 +20,7 @@ from the raw frame (fast-route features are never fed to it).
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -69,6 +70,8 @@ def router_score(s_max_feat: np.ndarray, w: RouterWeights):
     else:
         f = float(scores.mean())
         fallback = True
+    if not np.isfinite(f):
+        raise NumericError(f"non-finite router score F={f}")
     return scores.reshape(h, wd), f, fallback
 
 
@@ -210,8 +213,11 @@ class Tracker:
                  base=None, route1_override=None):
         if route not in (None, ROUTE1, ROUTE2):
             raise DataError(f"unknown route {route!r}")
+        threshold = float(threshold)
+        if not 0.0 <= threshold <= 1.0:
+            raise DataError(f"threshold must be in [0, 1], got {threshold}")
         self.params = params
-        self.threshold = float(threshold)
+        self.threshold = threshold
         self.route = route
         self.base = base
         self.route1_override = route1_override
@@ -235,7 +241,7 @@ class Tracker:
         params = self.params
         patch, mapping = runtime.crop_resize(frame, crop_reference(prev_box), SEARCH_FACTOR,
                                              params.config.search_size)
-        t0 = runtime.now()
+        t0 = time.perf_counter()
         state = stage1_forward(self.template, patch, params, self.template_grid)
         decision = None
         route = self.route
@@ -253,7 +259,7 @@ class Tracker:
             box = self.route1_override.predict(frame_index, frame, prev_box)
         else:
             box = runtime.map_box_to_frame(route_head(state, params, route).corners, mapping)
-        dt = runtime.now() - t0
+        dt = time.perf_counter() - t0
         if not np.isfinite(box).all():
             raise NumericError(f"non-finite box {box} at frame {frame_index + 1}")
         return box, decision, dt

@@ -20,7 +20,6 @@ benchmarks can exclude crop and resize work.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -360,7 +359,3 @@ def read_boxes(path):
     if not out:
         raise DataError(f"{path}: no boxes")
     return out
-
-
-def now() -> float:
-    return time.perf_counter()

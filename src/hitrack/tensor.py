@@ -9,21 +9,23 @@ strategies are used for matrix products:
 * float32 operands: BLAS matmul, which is deterministic within a process but
   does not promise a particular summation order.
 
-Multiply-accumulate counts are recorded into any active ``MacCounter``.
-Only matrix-product work counts (convolutions are lowered to matmul);
-elementwise ops, softmax and bias additions are free, matching the closed-form
-accounting in :mod:`hitrack.evalbench`.
+Multiply-accumulate counts are recorded into every ``MacCounter`` opened by
+``count_macs`` in the current context, under the label of the innermost
+``mac_scope`` (``"unscoped"`` outside any). Counters and labels are
+context-local (``contextvars``): a counter sees only the work of its own
+thread or context, and a new thread starts with no counter. Only
+matrix-product work counts (convolutions are lowered to matmul); elementwise
+ops, softmax and bias additions are free, matching the closed-form accounting
+in :mod:`hitrack.evalbench`.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
 from .errors import ShapeError
-
-_counters: list["MacCounter"] = []
-_scopes: list[str] = []
 
 
 class MacCounter:
@@ -43,32 +45,37 @@ class MacCounter:
         return sum(self.counts.values())
 
 
+# The active counters (outermost first) and the current scope label.
+_macs: ContextVar[tuple[tuple[MacCounter, ...], str]] = ContextVar(
+    "hitrack_macs", default=((), "unscoped"))
+
+
 @contextmanager
 def count_macs(counter: MacCounter | None = None):
     """Collect MAC counts from every kernel executed inside the block."""
     counter = counter if counter is not None else MacCounter()
-    _counters.append(counter)
+    counters, label = _macs.get()
+    token = _macs.set((counters + (counter,), label))
     try:
         yield counter
     finally:
-        _counters.pop()
+        _macs.reset(token)
 
 
 @contextmanager
 def mac_scope(label: str):
     """Attribute MACs recorded inside the block to ``label``."""
-    _scopes.append(label)
+    counters, _ = _macs.get()
+    token = _macs.set((counters, label))
     try:
         yield
     finally:
-        _scopes.pop()
+        _macs.reset(token)
 
 
 def _record_macs(n: int) -> None:
-    if not _counters:
-        return
-    label = _scopes[-1] if _scopes else "unscoped"
-    for counter in _counters:
+    counters, label = _macs.get()
+    for counter in counters:
         counter.add(label, n)
 
 
@@ -196,10 +203,3 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray, stride: int = 2, padding
         out = out[padding:full_h - padding, padding:full_w - padding]
     return out
 
-
-def conv_transpose_2x(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Stride-2 transposed convolution with a 2x2 kernel, doubling H and W."""
-    kernel = np.asarray(kernel)
-    if kernel.ndim != 4 or kernel.shape[0] != 2 or kernel.shape[1] != 2:
-        raise ShapeError(f"conv_transpose_2x expects a 2x2xCinxCout kernel, got {kernel.shape}")
-    return conv_transpose2d(x, kernel, stride=2, padding=0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hitrack import attention, posenc, tensor
+from hitrack import posenc, tensor
 from hitrack.attention import (AffineParams, BlockWeights, MhaWeights, MlpWeights,
                                SaWeights, mha_forward, mlp_forward, shrink_attention,
                                subsample_tokens, transformer_block)
@@ -221,21 +221,6 @@ class TestTransformerBlock:
         m = mid * bw.mlp_affine.scale + bw.mlp_affine.shift
         expect = mid + mlp_forward(m, bw.mlp)
         assert np.array_equal(transformer_block(x, bw, bias), expect)
-
-    def test_debug_sink_sees_normalized_rows(self):
-        # rows of every head's attention sum to 1 regardless of bias values
-        rng = np.random.default_rng(13)
-        w = make_mha(rng, c=8, n_heads=2, d=4)
-        bias = rng.standard_normal((2, 7, 7)) * 5.0
-        collected = []
-        attention.set_debug_sink(collected.append)
-        try:
-            mha_forward(rng.standard_normal((7, 8)), w, bias)
-        finally:
-            attention.set_debug_sink(None)
-        assert len(collected) == 2
-        for rows in collected:
-            assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-6
 
     def test_mlp_is_linear_hardswish_linear(self):
         rng = np.random.default_rng(12)

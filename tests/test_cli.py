@@ -217,6 +217,21 @@ class TestExitCodes:
                      "--tracker", "full", "--out", str(tmp_path / "o.txt")])
         assert code == cli.NUMERIC_ERROR
 
+    def test_threshold_out_of_range_is_3(self, seq_dir, tmp_path):
+        code = main(["track", "--variant", "toy", "--frames", str(seq_dir), "--tracker", "full",
+                     "--threshold", "5", "--out", str(tmp_path / "o.txt")])
+        assert code == cli.DATA_ERROR
+
+    def test_non_finite_router_score_is_4(self, seq_dir, tmp_path):
+        from hitrack.weights import init_weights, save_weights
+        params = init_weights(hitrack.make_config("toy"), seed=7)
+        params.router.b3[:] = np.nan
+        path = tmp_path / "nan.hitw"
+        save_weights(path, params)
+        code = main(["track", "--variant", "toy", "--weights", str(path), "--frames",
+                     str(seq_dir), "--tracker", "dyhit", "--out", str(tmp_path / "o.txt")])
+        assert code == cli.NUMERIC_ERROR
+
     def test_weights_round_trip_through_cli_model(self, seq_dir, tmp_path):
         from hitrack.weights import init_weights, save_weights
         cfg = hitrack.make_config("toy")

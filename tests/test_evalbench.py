@@ -1,4 +1,3 @@
-import os
 
 import numpy as np
 import pytest
@@ -211,16 +210,6 @@ class TestThresholdSweep:
             return "\n".join(out)
 
         assert blank_fps(csv_a) == blank_fps(csv_b)
-
-    def test_hit_threads_parallel_same_results(self, toy_params, suite):
-        rows1 = threshold_sweep([0.4], suite, toy_params)
-        os.environ["HIT_THREADS"] = "2"
-        try:
-            rows2 = threshold_sweep([0.4], suite, toy_params)
-        finally:
-            del os.environ["HIT_THREADS"]
-        assert rows1[0].metric == rows2[0].metric
-        assert rows1[0].route1_fraction == rows2[0].route1_fraction
 
     def test_csv_format(self, toy_params, suite):
         rows = threshold_sweep([0.0, 1.0], suite[:1], toy_params)

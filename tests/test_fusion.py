@@ -51,8 +51,8 @@ class TestBridge:
         s_max = rng.standard_normal((8, 8, 4))
         s_mid = rng.standard_normal((4, 4, 6))
         s_min = rng.standard_normal((2, 2, 8))
-        step1 = s_mid + tensor.conv_transpose_2x(s_min, w.up1)
-        expect = s_max + tensor.conv_transpose_2x(step1, w.up2)
+        step1 = s_mid + tensor.conv_transpose2d(s_min, w.up1, stride=2, padding=0)
+        expect = s_max + tensor.conv_transpose2d(step1, w.up2, stride=2, padding=0)
         assert np.array_equal(bridge(s_max, s_mid, s_min, w), expect)
 
     def test_shape_mismatch(self):

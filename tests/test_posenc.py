@@ -89,14 +89,14 @@ class TestGatherBias:
     def test_zero_table(self):
         cm = coords_2x2_4x4()
         idx = posenc.build_bias_index(cm)
-        out = posenc.gather_bias(posenc.zero_bias_table(3, cm), idx)
+        out = posenc.gather_bias(np.zeros((3, *posenc.table_shape(cm)), np.float32), idx)
         assert out.shape == (3, 20, 20)
         assert not out.any()
 
     def test_single_entry_lookup(self):
         cm = coords_2x2_4x4()
         idx = posenc.build_bias_index(cm)
-        table = posenc.zero_bias_table(1, cm)
+        table = np.zeros((1, *posenc.table_shape(cm)), np.float32)
         table[0, 1, 0] = 5.0
         out = posenc.gather_bias(table, idx)
         for i in range(20):

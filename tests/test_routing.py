@@ -133,6 +133,24 @@ class TestDispatch:
         assert all(a >= b for a, b in zip(fractions, fractions[1:]))
 
 
+def nan_router_params(params):
+    return replace(params, router=replace(params.router, b3=np.array([np.nan], np.float32)))
+
+
+class TestNonFiniteRouterScore:
+    def test_route_decision_raises(self, toy_params, toy_pair):
+        state = stage1_forward(*toy_pair, toy_params)
+        with pytest.raises(NumericError):
+            route_decision(state.s_max, nan_router_params(toy_params).router, 0.0)
+
+    def test_track_sequence_raises(self, toy_params):
+        seq = runtime.gen_synthetic(seed=37, difficulty=0, length=4)
+        frames, gt = list(seq.frames), [tuple(b) for b in seq.boxes]
+        tracker = make_tracker("dyhit", nan_router_params(toy_params), 0.0)
+        with pytest.raises(NumericError):
+            runtime.track_sequence(frames, gt[0], tracker)
+
+
 class TestOracleBaseTracker:
     GT = [(10.0, 12.0, 30.0, 20.0)] * 60
 
@@ -341,6 +359,12 @@ class TestTrackerGlue:
             routing.make_tracker("dytracker", toy_params)
         with pytest.raises(DataError):
             routing.make_tracker("nope", toy_params)
+
+    @pytest.mark.parametrize("kind", ["route1", "full", "dyhit", "dytracker"])
+    @pytest.mark.parametrize("threshold", [5.0, -0.1, float("nan")])
+    def test_threshold_rejected_at_construction(self, toy_params, kind, threshold):
+        with pytest.raises(DataError):
+            make_tracker(kind, toy_params, threshold, base=oracle_base_tracker([(0, 0, 1, 1)], 0.0, 0))
 
 
 class TestMacContract:

@@ -1,7 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from hitrack import tensor
+from hitrack import full_forward, tensor
 from hitrack.errors import ShapeError
 
 
@@ -114,29 +117,31 @@ class TestConvTranspose2x:
     def test_zero_kernel_zero_output(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((3, 4, 2))
-        out = tensor.conv_transpose_2x(x, np.zeros((2, 2, 2, 5)))
+        out = tensor.conv_transpose2d(x, np.zeros((2, 2, 2, 5)), stride=2, padding=0)
         assert out.shape == (6, 8, 5)
         assert not out.any()
 
     def test_single_pixel_expansion(self):
         v = 2.5
-        out = tensor.conv_transpose_2x(np.full((1, 1, 1), v), np.ones((2, 2, 1, 1)))
+        out = tensor.conv_transpose2d(np.full((1, 1, 1), v), np.ones((2, 2, 1, 1)), stride=2, padding=0)
         assert np.array_equal(out, np.full((2, 2, 1), v))
 
     def test_output_doubles_spatially(self):
         rng = np.random.default_rng(8)
-        out = tensor.conv_transpose_2x(rng.standard_normal((4, 4, 3)), rng.standard_normal((2, 2, 3, 6)))
+        out = tensor.conv_transpose2d(rng.standard_normal((4, 4, 3)), rng.standard_normal((2, 2, 3, 6)),
+                                      stride=2, padding=0)
         assert out.shape == (8, 8, 6)
 
     def test_linearity_exact_on_dyadic_values(self):
         rng = np.random.default_rng(9)
         x = rng.integers(-8, 8, size=(3, 3, 2)).astype(np.float64) * 0.25
         k = rng.integers(-4, 4, size=(2, 2, 2, 3)).astype(np.float64) * 0.5
-        assert np.array_equal(tensor.conv_transpose_2x(2.0 * x, k), 2.0 * tensor.conv_transpose_2x(x, k))
+        assert np.array_equal(tensor.conv_transpose2d(2.0 * x, k, stride=2, padding=0),
+                              2.0 * tensor.conv_transpose2d(x, k, stride=2, padding=0))
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            tensor.conv_transpose_2x(np.zeros((2, 2, 3)), np.zeros((2, 2, 4, 1)))
+            tensor.conv_transpose2d(np.zeros((2, 2, 3)), np.zeros((2, 2, 4, 1)), stride=2, padding=0)
 
     def test_scatter_oracle(self):
         # out[2i+di, 2j+dj, co] accumulates x[i, j, ci] * k[di, dj, ci, co]
@@ -150,7 +155,7 @@ class TestConvTranspose2x:
                     for dj in range(2):
                         for ci in range(2):
                             expect[2 * i + di, 2 * j + dj] += x[i, j, ci] * k[di, dj, ci]
-        assert np.allclose(tensor.conv_transpose_2x(x, k), expect, atol=1e-12)
+        assert np.allclose(tensor.conv_transpose2d(x, k, stride=2, padding=0), expect, atol=1e-12)
 
 
 class TestConvTransposeK4:
@@ -230,3 +235,61 @@ class TestMacCounting:
             tensor.hardswish(np.ones(100))
             tensor.softmax_rows(np.ones((10, 10)))
         assert counter.total == 0
+
+    def test_nested_counters_both_receive_work(self):
+        with tensor.count_macs() as outer:
+            tensor.matmul(np.zeros((1, 2)), np.zeros((2, 1)))
+            with tensor.mac_scope("a"), tensor.count_macs() as inner:
+                tensor.matmul(np.zeros((2, 2)), np.zeros((2, 2)))
+        assert inner.counts == {"a": 8}
+        assert outer.counts == {"unscoped": 2, "a": 8}
+
+    def test_scope_label_restored_after_inner_raise(self):
+        with tensor.count_macs() as counter:
+            with tensor.mac_scope("outer"):
+                with pytest.raises(ShapeError):
+                    with tensor.mac_scope("inner"):
+                        tensor.matmul(np.zeros((1, 2)), np.zeros((2, 1)))
+                        tensor.matmul(np.zeros((1, 2)), np.zeros((3, 1)))
+                tensor.matmul(np.zeros((1, 3)), np.zeros((3, 1)))
+            tensor.matmul(np.zeros((1, 4)), np.zeros((4, 1)))
+        assert counter.counts == {"inner": 2, "outer": 3, "unscoped": 4}
+
+
+def run_threads(target, n):
+    threads = [threading.Thread(target=target, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+
+
+class TestMacCountingThreads:
+    def test_worker_thread_work_is_invisible_to_main_counter(self):
+        with tensor.count_macs() as counter:
+            run_threads(lambda i: tensor.matmul(np.zeros((3, 4)), np.zeros((4, 5))), 1)
+        assert counter.total == 0
+
+    def test_concurrent_forwards_each_read_the_solo_count(self, toy_params, toy_pair):
+        reps, n_threads = 3, 3
+        with tensor.count_macs() as solo:
+            full_forward(*toy_pair, toy_params)
+        readings = [None] * n_threads
+        start = threading.Barrier(n_threads, timeout=60)
+
+        def work(i):
+            start.wait()
+            with tensor.count_macs() as counter:
+                for _ in range(reps):
+                    full_forward(*toy_pair, toy_params)
+            readings[i] = counter.counts
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(work, n_threads)
+        finally:
+            sys.setswitchinterval(interval)
+        expect = {label: reps * n for label, n in solo.counts.items()}
+        assert readings == [expect] * n_threads
