@@ -79,20 +79,22 @@ class BlockWeights:
     mlp: MlpWeights
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias, n_heads: int,
-            key_dim: int, val_dim: int) -> np.ndarray:
-    """Per-head scaled dot-product attention with bias, hardswish per head."""
-    heads = []
-    scale = math.sqrt(key_dim)
-    for h in range(n_heads):
-        qh = q[:, h * key_dim:(h + 1) * key_dim]
-        kh = k[:, h * key_dim:(h + 1) * key_dim]
-        vh = v[:, h * val_dim:(h + 1) * val_dim]
-        scores = matmul(qh, kh.T) / scale
-        if bias is not None:
-            scores = scores + bias[h]
-        heads.append(hardswish(matmul(softmax_rows(scores), vh)))
-    return np.concatenate(heads, axis=1)
+def _attend(q_in: np.ndarray, kv_in: np.ndarray, w: MhaWeights | SaWeights, bias) -> np.ndarray:
+    """Project, attend with all heads at once, and project back.
+
+    Q, K and V are viewed as [N, T, D] head stacks, so the scores and the
+    weighted values are one stacked product each; ``bias`` is [N, Tq, Tk].
+    """
+    n, d = w.n_heads, w.key_dim
+    tq, tk = q_in.shape[0], kv_in.shape[0]
+    q = matmul(q_in, w.wq).reshape(tq, n, d).transpose(1, 0, 2)
+    k = matmul(kv_in, w.wk).reshape(tk, n, d).transpose(1, 2, 0)
+    v = matmul(kv_in, w.wv).reshape(tk, n, -1).transpose(1, 0, 2)
+    scores = matmul(q, k) / math.sqrt(d)
+    if bias is not None:
+        scores = scores + bias
+    heads = hardswish(matmul(softmax_rows(scores), v))
+    return matmul(heads.transpose(1, 0, 2).reshape(tq, -1), w.wo)
 
 
 def mha_forward(tokens: np.ndarray, w: MhaWeights, bias: np.ndarray | None) -> np.ndarray:
@@ -100,11 +102,7 @@ def mha_forward(tokens: np.ndarray, w: MhaWeights, bias: np.ndarray | None) -> n
     n = tokens.shape[0]
     if bias is not None and bias.shape[-2:] != (n, n):
         raise ShapeError(f"bias extents {bias.shape[-2:]} do not match {n} tokens")
-    q = matmul(tokens, w.wq)
-    k = matmul(tokens, w.wk)
-    v = matmul(tokens, w.wv)
-    mixed = _attend(q, k, v, bias, w.n_heads, w.key_dim, 2 * w.key_dim)
-    return matmul(mixed, w.wo)
+    return _attend(tokens, tokens, w, bias)
 
 
 def subsample_tokens(tokens: np.ndarray, layout: TokenLayout) -> np.ndarray:
@@ -128,12 +126,7 @@ def shrink_attention(tokens: np.ndarray, layout: TokenLayout, w: SaWeights,
                      bias: np.ndarray | None) -> np.ndarray:
     """Downsampling attention: [T, C] -> [T/4, C_out]."""
     x = affine(tokens, w.affine.scale, w.affine.shift)
-    q_in = subsample_tokens(x, layout)
-    q = matmul(q_in, w.wq)
-    k = matmul(x, w.wk)
-    v = matmul(x, w.wv)
-    mixed = _attend(q, k, v, bias, w.n_heads, w.key_dim, 4 * w.key_dim)
-    return matmul(mixed, w.wo)
+    return _attend(subsample_tokens(x, layout), x, w, bias)
 
 
 def mlp_forward(tokens: np.ndarray, w: MlpWeights) -> np.ndarray:

@@ -242,8 +242,7 @@ def cmd_flops(args):
 
 def cmd_fit_router(args):
     features, targets = objectives.read_router_dataset(args.dataset)
-    fitted, losses = objectives.fit_router(features, targets, args.lr, args.epochs,
-                                           args.seed, tau_fg=args.tau_fg or 0.6)
+    fitted, losses = objectives.fit_router(features, targets, args.lr, args.epochs, args.seed)
     weights.save_router(args.out, fitted)
     print(f"fitted router on {features.shape[0]} samples (dim {features.shape[1]})")
     print(f"loss: {losses[0]:.6f} -> {losses[-1]:.6f} over {args.epochs} epochs")
@@ -322,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-2)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tau-fg", dest="tau_fg", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_router)
 

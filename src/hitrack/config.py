@@ -92,6 +92,8 @@ class ModelConfig:
             raise ShapeError("bridge_kernel must be 2 or 4 (stride-2 upsampling)")
         if self.classify_every_n < 1:
             raise DataError(f"classify_every_n must be >= 1, got {self.classify_every_n}")
+        if not 0.0 <= self.tau_fg <= 1.0:
+            raise DataError(f"tau_fg must be in [0, 1], got {self.tau_fg}")
 
     @property
     def np_dtype(self):

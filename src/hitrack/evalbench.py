@@ -311,23 +311,23 @@ def threshold_sweep(t_grid, sequences, params) -> list[SweepRow]:
         frames, gt = (seq.frames, seq.boxes) if hasattr(seq, "frames") else seq
         suite.append((list(frames), [tuple(float(v) for v in b) for b in gt]))
 
-    rows = []
-    for t in t_grid:
-        ious, seconds, r1 = [], [], 0
-        for frames, gt in suite:
+    ious = [[] for _ in t_grid]
+    seconds = [[] for _ in t_grid]
+    r1 = [0] * len(t_grid)
+    # Thresholds take turns on each sequence, so a drift in machine speed
+    # during the sweep shifts every threshold's frame times alike.
+    for frames, gt in suite:
+        for i, t in enumerate(t_grid):
             result = track_sequence(frames, gt[0], make_tracker("dyhit", params, t))
-            ious.extend(iou_xywh(p, g) for p, g in zip(result.boxes, gt))
-            r1 += sum(1 for d in result.decisions if d.route == "route1")
-            seconds.extend(result.forward_seconds)
-        # median per-frame forward time: robust against GC and scheduler spikes
-        median = float(np.median(seconds))
-        rows.append(SweepRow(
-            threshold=t,
-            metric=float(np.mean(ious)),
-            fps=1.0 / median if median > 0 else float("inf"),
-            route1_fraction=r1 / len(seconds) if seconds else 0.0,
-        ))
-    return rows
+            ious[i].extend(iou_xywh(p, g) for p, g in zip(result.boxes, gt))
+            r1[i] += sum(1 for d in result.decisions if d.route == "route1")
+            seconds[i].extend(result.forward_seconds)
+    # median per-frame forward time: robust against GC and scheduler spikes
+    medians = [float(np.median(s)) for s in seconds]
+    return [SweepRow(threshold=t, metric=float(np.mean(ious[i])),
+                     fps=1.0 / medians[i] if medians[i] > 0 else float("inf"),
+                     route1_fraction=r1[i] / len(seconds[i]) if seconds[i] else 0.0)
+            for i, t in enumerate(t_grid)]
 
 
 def sweep_csv(rows) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 from .tensor import conv2d, conv_transpose2d, hardswish, mac_scope, matmul, softmax_rows
 from .weights import BridgeWeights, CornerHeadWeights
 
@@ -53,6 +53,8 @@ def soft_argmax(heatmap: np.ndarray) -> tuple[float, float]:
     if heatmap.ndim != 2:
         raise ShapeError(f"soft_argmax expects a 2-D map, got {heatmap.shape}")
     total = float(heatmap.sum())
+    if not math.isfinite(total):
+        raise NumericError(f"soft_argmax input sums to {total}")
     if not math.isclose(total, 1.0, abs_tol=1e-6):
         warnings.warn(f"soft_argmax input sums to {total:.6g}, renormalizing", stacklevel=2)
         heatmap = heatmap / total

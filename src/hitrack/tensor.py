@@ -1,7 +1,9 @@
 """Dense-array kernels used by every layer of the tracker.
 
-All kernels are pure functions on row-major NumPy arrays. Two accumulation
-strategies are used for matrix products:
+All kernels are pure functions on row-major NumPy arrays. ``matmul`` takes
+``[..., m, k] @ [..., k, n]`` stacks whose leading axes broadcast (a 2-D
+operand pairs with every matrix of a stack), so all heads of an attention
+layer are one call. Two accumulation strategies are used:
 
 * float64 operands: explicit left-to-right accumulation over the contracted
   axis, bit-identical to a naive triple loop. This is the mode used by the
@@ -9,14 +11,14 @@ strategies are used for matrix products:
 * float32 operands: BLAS matmul, which is deterministic within a process but
   does not promise a particular summation order.
 
-Multiply-accumulate counts are recorded into every ``MacCounter`` opened by
-``count_macs`` in the current context, under the label of the innermost
-``mac_scope`` (``"unscoped"`` outside any). Counters and labels are
-context-local (``contextvars``): a counter sees only the work of its own
-thread or context, and a new thread starts with no counter. Only
-matrix-product work counts (convolutions are lowered to matmul); elementwise
-ops, softmax and bias additions are free, matching the closed-form accounting
-in :mod:`hitrack.evalbench`.
+Multiply-accumulate counts (``out.size * k`` per matmul) are recorded into
+every ``MacCounter`` opened by ``count_macs`` in the current context, under
+the label of the innermost ``mac_scope`` (``"unscoped"`` outside any).
+Counters and labels are context-local (``contextvars``): a counter sees only
+the work of its own thread or context, and a new thread starts with no
+counter. Only matrix-product work counts (convolutions are lowered to
+matmul); elementwise ops, softmax and bias additions are free, matching the
+closed-form accounting in :mod:`hitrack.evalbench`.
 """
 from __future__ import annotations
 
@@ -80,23 +82,23 @@ def _record_macs(n: int) -> None:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of 2-D arrays with a deterministic summation order."""
+    """Stacked matrix product, broadcast over leading axes, in a deterministic summation order."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul expects operands of at least 2-D, got {a.shape} x {b.shape}")
+    k = a.shape[-1]
+    if k != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    m, k = a.shape
-    n = b.shape[1]
-    _record_macs(m * k * n)
     if a.dtype == np.float64 or b.dtype == np.float64:
         # Left-to-right accumulation over k: bit-exact vs. a naive triple loop.
-        out = np.zeros((m, n), dtype=np.float64)
+        out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]))
         for i in range(k):
-            out += a[:, i, None] * b[i, :]
-        return out
-    return a @ b
+            out += a[..., i, None] * b[..., i, None, :]
+    else:
+        out = a @ b
+    _record_macs(out.size * k)
+    return out
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -191,14 +193,13 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray, stride: int = 2, padding
     h, w, c = x.shape
     if c != cin:
         raise ShapeError(f"conv_transpose2d channel mismatch: input has {c}, kernel expects {cin}")
-    k2d = kernel.transpose(2, 0, 1, 3).reshape(cin, kh * kw * cout)
-    taps = matmul(x.reshape(h * w, cin), k2d).reshape(h, w, kh, kw, cout)
+    taps = matmul(x.reshape(h * w, cin), kernel.reshape(kh * kw, cin, cout)).reshape(kh, kw, h, w, cout)
     full_h = stride * (h - 1) + kh
     full_w = stride * (w - 1) + kw
     out = np.zeros((full_h, full_w, cout), dtype=taps.dtype)
     for di in range(kh):
         for dj in range(kw):
-            out[di:di + stride * h:stride, dj:dj + stride * w:stride] += taps[:, :, di, dj]
+            out[di:di + stride * h:stride, dj:dj + stride * w:stride] += taps[di, dj]
     if padding:
         out = out[padding:full_h - padding, padding:full_w - padding]
     return out

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ def naive_mha(tokens, w, bias):
         qh = q[:, h * d:(h + 1) * d]
         kh = k[:, h * d:(h + 1) * d]
         vh = v[:, h * 2 * d:(h + 1) * 2 * d]
-        scores = tensor.matmul(qh, kh.T) / np.sqrt(d)
+        scores = tensor.matmul(qh, kh.T) / math.sqrt(d)
         if bias is not None:
             scores = scores + bias[h]
         attn = tensor.softmax_rows(scores)
@@ -66,6 +68,15 @@ class TestMhaForward:
         bias = rng.standard_normal((2, 12, 12))
         x = rng.standard_normal((12, 10))
         assert np.array_equal(mha_forward(x, w, bias), naive_mha(x, w, bias))
+
+    def test_float32_matches_per_head_loop(self):
+        rng = np.random.default_rng(41)
+        w = make_mha(rng, c=24, n_heads=3, d=8, dtype=np.float32)
+        bias = rng.standard_normal((3, 40, 40)).astype(np.float32)
+        x = rng.standard_normal((40, 24)).astype(np.float32)
+        out = mha_forward(x, w, bias)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, naive_mha(x, w, bias))
 
     def test_bias_extent_mismatch(self):
         rng = np.random.default_rng(3)
@@ -181,6 +192,37 @@ class TestShrinkAttention:
             heads.append(tensor.hardswish(tensor.matmul(tensor.softmax_rows(s), vh)))
         expect = tensor.matmul(np.concatenate(heads, axis=1), w.wo)
         assert np.array_equal(out, expect)
+
+
+def stepwise_shrink(x, layout, w, bias):
+    """Per-head loop oracle for shrink_attention, in the dtype of its inputs."""
+    d = w.key_dim
+    a = x * w.affine.scale + w.affine.shift
+    q = tensor.matmul(subsample_tokens(a, layout), w.wq)
+    k = tensor.matmul(a, w.wk)
+    v = tensor.matmul(a, w.wv)
+    heads = []
+    for h in range(w.n_heads):
+        qh = q[:, h * d:(h + 1) * d]
+        kh = k[:, h * d:(h + 1) * d]
+        vh = v[:, h * 4 * d:(h + 1) * 4 * d]
+        s = tensor.matmul(qh, kh.T) / math.sqrt(d) + bias[h]
+        heads.append(tensor.hardswish(tensor.matmul(tensor.softmax_rows(s), vh)))
+    return tensor.matmul(np.concatenate(heads, axis=1), w.wo)
+
+
+class TestShrinkAttentionFloat32:
+    def test_matches_per_head_loop(self):
+        rng = np.random.default_rng(42)
+        w = make_sa(rng, cin=16, cout=24, n_heads=3, d=8, dtype=np.float32)
+        x = rng.standard_normal((80, 16)).astype(np.float32)
+        coords = posenc.assign_dual_coords((4, 4), (8, 8))
+        idx = posenc.build_bias_index(posenc.subsample_coords(coords), coords)
+        table = rng.standard_normal((3,) + posenc.table_shape(coords)).astype(np.float32)
+        bias = posenc.gather_bias(table, idx)
+        out = shrink_attention(x, LAYOUT, w, bias)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, stepwise_shrink(x, LAYOUT, w, bias))
 
 
 def make_block(rng, c, n_heads, d, zero=False):

@@ -114,6 +114,24 @@ class TestInfer:
         printed = capsys.readouterr().out
         assert "corners_norm:" in printed and "route:" in printed
 
+    def test_non_finite_head_output_is_4(self, seq_dir, tmp_path, capsys):
+        from hitrack.weights import init_weights, save_weights
+        frames = runtime.load_frames(seq_dir)
+        gt = runtime.read_boxes(seq_dir / "groundtruth.txt")
+        tpl, _ = runtime.crop_resize(frames[0], gt[0], 2.0, 64)
+        srch, _ = runtime.crop_resize(frames[1], gt[0], 4.0, 128)
+        tpath, spath = tmp_path / "t.ppm", tmp_path / "s.ppm"
+        runtime.write_ppm(tpath, tpl)
+        runtime.write_ppm(spath, srch)
+        params = init_weights(hitrack.make_config("toy"), seed=7)
+        params.head2.tl[-1].bias[:] = np.nan
+        path = tmp_path / "nan.hitw"
+        save_weights(path, params)
+        code = main(["infer", "--variant", "toy", "--weights", str(path), "--template", str(tpath),
+                     "--search", str(spath), "--route", "full"])
+        assert code == cli.NUMERIC_ERROR
+        assert "corners_norm" not in capsys.readouterr().out
+
     def test_route_override(self, seq_dir, tmp_path, capsys):
         frames = runtime.load_frames(seq_dir)
         gt = runtime.read_boxes(seq_dir / "groundtruth.txt")
@@ -173,6 +191,11 @@ class TestConfigFile:
         cfg.write_text("nonsense = 1\n")
         assert main(["flops", "--config", str(cfg)]) == cli.DATA_ERROR
 
+    def test_non_finite_tau_fg_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("variant = toy\ntau_fg = nan\n")
+        assert main(["flops", "--config", str(cfg)]) == cli.DATA_ERROR
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("variant toy\n")
@@ -221,6 +244,13 @@ class TestExitCodes:
         code = main(["track", "--variant", "toy", "--frames", str(seq_dir), "--tracker", "full",
                      "--threshold", "5", "--out", str(tmp_path / "o.txt")])
         assert code == cli.DATA_ERROR
+
+    @pytest.mark.parametrize("tau_fg", ["nan", "1.5"])
+    def test_tau_fg_outside_unit_interval_is_3(self, tmp_path, tau_fg):
+        code = main(["track", "--variant", "toy", "--synth", "5:0:6", "--tracker", "dyhit",
+                     "--tau-fg", tau_fg, "--out", str(tmp_path / "o.txt")])
+        assert code == cli.DATA_ERROR
+        assert not (tmp_path / "o.txt").exists()
 
     def test_non_finite_router_score_is_4(self, seq_dir, tmp_path):
         from hitrack.weights import init_weights, save_weights

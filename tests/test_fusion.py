@@ -3,7 +3,7 @@ import pytest
 
 from hitrack import tensor
 from hitrack.fusion import (bridge, box_from_heatmaps, corner_head, soft_argmax)
-from hitrack.errors import ShapeError
+from hitrack.errors import NumericError, ShapeError
 from hitrack.weights import BridgeWeights, ConvBias, CornerHeadWeights
 
 
@@ -88,6 +88,13 @@ class TestSoftArgmax:
         with pytest.warns(UserWarning):
             x, y = soft_argmax(np.full((2, 2), 1.0))
         assert np.isclose(x, 0.5) and np.isclose(y, 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sum_raises(self, bad):
+        heat = np.full((2, 2), 0.25)
+        heat[1, 0] = bad
+        with pytest.raises(NumericError):
+            soft_argmax(heat)
 
 
 def make_head(rng, c1=8, cg=None, zero_logits=False):

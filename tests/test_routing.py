@@ -339,6 +339,17 @@ class TestClassifyEveryN:
             assert d.route == (routing.ROUTE1 if d.f > d.threshold else routing.ROUTE2)
 
 
+class TestTauFgValidation:
+    @pytest.mark.parametrize("tau_fg", [np.nan, -0.1, 1.5, np.inf])
+    def test_outside_unit_interval_rejected(self, tau_fg):
+        with pytest.raises(DataError, match="tau_fg"):
+            hitrack.make_config("toy", tau_fg=tau_fg)
+
+    @pytest.mark.parametrize("tau_fg", [0.0, 1.0])
+    def test_endpoints_accepted(self, tau_fg):
+        assert hitrack.make_config("toy", tau_fg=tau_fg).tau_fg == tau_fg
+
+
 class TestTrackerGlue:
     def test_route1_and_full_trackers_produce_boxes(self, toy_params):
         seq = runtime.gen_synthetic(seed=35, difficulty=0, length=6)

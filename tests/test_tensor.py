@@ -62,6 +62,46 @@ class TestMatmul:
         assert np.isfinite(out).all()
 
 
+class TestStackedMatmul:
+    def test_float64_stack_matches_per_slice_oracle_bit_exactly(self):
+        rng = np.random.default_rng(16)
+        a = rng.standard_normal((2, 3, 4, 5))
+        b = rng.standard_normal((2, 3, 5, 6))
+        out = tensor.matmul(a, b)
+        assert out.shape == (2, 3, 4, 6)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(out[i, j], naive_matmul(a[i, j], b[i, j]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_2d_operand_broadcasts_against_stack(self, dtype):
+        rng = np.random.default_rng(17)
+        a2 = rng.standard_normal((4, 5)).astype(dtype)
+        stack = rng.standard_normal((3, 5, 5)).astype(dtype)
+        left = tensor.matmul(a2, stack)
+        right = tensor.matmul(stack, a2.T)
+        assert left.shape == (3, 4, 5) and right.shape == (3, 5, 4)
+        for i in range(3):
+            assert np.array_equal(left[i], tensor.matmul(a2, stack[i]))
+            assert np.array_equal(right[i], tensor.matmul(stack[i], a2.T))
+
+    def test_one_call_records_batch_m_k_n(self):
+        with tensor.count_macs() as counter:
+            tensor.matmul(np.zeros((6, 3, 4), np.float32), np.zeros((6, 4, 5), np.float32))
+            tensor.matmul(np.zeros((3, 4)), np.zeros((2, 6, 4, 5)))
+        assert counter.total == 6 * 3 * 4 * 5 + 2 * 6 * 3 * 4 * 5
+
+    def test_1d_operand_rejected(self):
+        with pytest.raises(ShapeError):
+            tensor.matmul(np.zeros(3), np.zeros((3, 2)))
+        with pytest.raises(ShapeError):
+            tensor.matmul(np.zeros((2, 3)), np.zeros(3))
+
+    def test_stack_inner_extent_mismatch(self):
+        with pytest.raises(ShapeError):
+            tensor.matmul(np.zeros((2, 3, 4)), np.zeros((2, 5, 3)))
+
+
 class TestSoftmaxRows:
     def test_equal_logits_uniform(self):
         out = tensor.softmax_rows(np.full((3, 5), 2.5))
@@ -111,6 +151,39 @@ class TestHardswish:
         eps = 1e-6
         num = (tensor.hardswish(xs + eps) - tensor.hardswish(xs - eps)) / (2 * eps)
         assert np.abs(num - tensor.hardswish_grad(xs)).max() < 1e-8
+
+
+def reference_conv_transpose2d(x, kernel, stride, padding):
+    """The earlier formulation: one [Cin, kh*kw*Cout] product over a transposed kernel copy."""
+    kh, kw, cin, cout = kernel.shape
+    h, w, _ = x.shape
+    k2d = kernel.transpose(2, 0, 1, 3).reshape(cin, kh * kw * cout)
+    taps = tensor.matmul(x.reshape(h * w, cin), k2d).reshape(h, w, kh, kw, cout)
+    full_h = stride * (h - 1) + kh
+    full_w = stride * (w - 1) + kw
+    out = np.zeros((full_h, full_w, cout), dtype=taps.dtype)
+    for di in range(kh):
+        for dj in range(kw):
+            out[di:di + stride * h:stride, dj:dj + stride * w:stride] += taps[:, :, di, dj]
+    if padding:
+        out = out[padding:full_h - padding, padding:full_w - padding]
+    return out
+
+
+class TestConvTransposeOracle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,padding", [(2, 0), (4, 1)])
+    def test_matches_kernel_copy_formulation(self, dtype, k, padding):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((4, 4, 24)).astype(dtype)
+        kernel = rng.standard_normal((k, k, 24, 16)).astype(dtype)
+        with tensor.count_macs() as counter:
+            out = tensor.conv_transpose2d(x, kernel, 2, padding)
+        with tensor.count_macs() as ref_counter:
+            expect = reference_conv_transpose2d(x, kernel, 2, padding)
+        assert out.dtype == expect.dtype == dtype
+        assert np.array_equal(out, expect)
+        assert counter.counts == ref_counter.counts
 
 
 class TestConvTranspose2x:
