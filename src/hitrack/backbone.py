@@ -1,12 +1,15 @@
 """Hierarchical backbone: patch embedding, three stages, per-stage features.
 
-The template and search images are embedded by a shared stack of four
-stride-2 3x3 convolutions (16x downsampling), flattened, concatenated
-template-first and pushed through three stages of residual blocks joined by
-Shrink Attention. After stage 1 the search slice is recorded as the
-fine-resolution feature map ``s_max`` together with its mean ``g1``; stages 2
-and 3 produce ``s_mid``, ``s_min`` and the final global vector ``g`` (mean
-over the stage-3 search tokens).
+Crops stay in 0-255 pixel units up to the embed, which normalises each one
+per channel as ``(x / 255 - mean) / std`` with ImageNet's statistics
+(``PIXEL_MEAN`` = 0.485, 0.456, 0.406; ``PIXEL_STD`` = 0.229, 0.224, 0.225),
+in the image's own dtype. The template and search images are then embedded
+by a shared stack of four stride-2 3x3 convolutions (16x downsampling),
+flattened, concatenated template-first and pushed through three stages of
+residual blocks joined by Shrink Attention. After stage 1 the search slice
+is recorded as the fine-resolution feature map ``s_max`` together with its
+mean ``g1``; stages 2 and 3 produce ``s_mid``, ``s_min`` and the final global
+vector ``g`` (mean over the stage-3 search tokens).
 
 The forward is split into ``stage1_forward`` and ``continue_forward`` so the
 dynamic router can stop after stage 1 without touching the rest of the
@@ -24,6 +27,13 @@ from .config import TokenLayout, geometry
 from .errors import ShapeError
 from .tensor import affine, conv2d, hardswish, mac_scope
 from .weights import EmbedWeights, ModelParams
+
+# ImageNet channel statistics of 0-1 images, as HiT and LeViT normalise them.
+PIXEL_MEAN = (0.485, 0.456, 0.406)
+PIXEL_STD = (0.229, 0.224, 0.225)
+# (x / 255 - mean) / std as one scale and shift on 0-255 pixels.
+_PIXEL_SCALE = 1.0 / (255.0 * np.array(PIXEL_STD))
+_PIXEL_SHIFT = -np.array(PIXEL_MEAN) / np.array(PIXEL_STD)
 
 
 @dataclass(eq=False)
@@ -46,13 +56,19 @@ class StageOutputs:
 
 
 def patch_embed(image: np.ndarray, ew: EmbedWeights) -> np.ndarray:
-    """Four stacked stride-2 convolutions with hardswish between: 16x down."""
+    """Normalise a 0-255 HxWx3 image, then four stacked stride-2 convolutions
+    with hardswish between: 16x down.
+
+    The normalisation runs in the image's dtype (float32 stays float32), so
+    template and search, float32 and float64 all see the same map.
+    """
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[2] != 3:
         raise ShapeError(f"patch_embed expects an HxWx3 image, got {image.shape}")
     if image.shape[0] % 16 or image.shape[1] % 16:
         raise ShapeError(f"image extents must be divisible by 16, got {image.shape[:2]}")
-    x = image
+    dt = np.result_type(image.dtype, np.float32)
+    x = affine(image, _PIXEL_SCALE.astype(dt), _PIXEL_SHIFT.astype(dt))
     last = len(ew.convs) - 1
     for i, conv in enumerate(ew.convs):
         x = conv2d(x, conv.kernel, stride=2, padding=1)

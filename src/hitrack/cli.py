@@ -93,6 +93,36 @@ def _add_model_args(p):
     p.add_argument("--tau-fg", dest="tau_fg", type=float, help="foreground score threshold")
 
 
+def _int_fields(text, sep, n, what):
+    """argparse type: ``n`` integers joined by ``sep``, else a usage error."""
+    try:
+        values = tuple(int(p) for p in text.split(sep))
+    except ValueError:
+        values = ()
+    if len(values) != n:
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return values
+
+
+def _synth_spec(text):
+    return _int_fields(text, ":", 3, "seed:difficulty:length")
+
+
+def _synth_list(text):
+    return [_synth_spec(spec) for spec in text.split(",")]
+
+
+def _frame_size(text):
+    return _int_fields(text, "x", 2, "HxW")
+
+
+def _float_list(text):
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}") from None
+
+
 def _parse_box(text):
     parts = text.split(",")
     if len(parts) != 4:
@@ -106,23 +136,17 @@ def _load_sequence(args, file_values):
         gt_path = Path(args.frames) / "groundtruth.txt"
         gt = runtime.read_boxes(args.gt or gt_path)
         return frames, gt
-    seed, difficulty, length = (int(v) for v in args.synth.split(":"))
-    seq = runtime.gen_synthetic(seed, difficulty, length)
+    seq = runtime.gen_synthetic(*args.synth)
     return list(seq.frames), [tuple(b) for b in seq.boxes]
 
 
 def cmd_gen_synth(args):
     seq = runtime.gen_synthetic(args.seed, args.difficulty, args.length,
-                                hw=_parse_hw(args.size), blur=args.blur)
+                                hw=args.size, blur=args.blur)
     runtime.write_sequence(args.out, seq)
     print(f"wrote {len(seq)} frames ({seq.frames.shape[1]}x{seq.frames.shape[2]}) "
           f"and groundtruth.txt to {args.out}")
     return 0
-
-
-def _parse_hw(text):
-    h, _, w = text.partition("x")
-    return (int(h), int(w))
 
 
 def cmd_infer(args):
@@ -196,12 +220,8 @@ def cmd_sweep(args):
     file_values = read_config_file(args.config) if args.config else {}
     cfg = _build_config(args, file_values)
     params = _load_params(args, cfg)
-    grid = [float(t) for t in args.grid.split(",")]
-    sequences = []
-    for triple in args.synth.split(","):
-        seed, difficulty, length = (int(v) for v in triple.split(":"))
-        sequences.append(runtime.gen_synthetic(seed, difficulty, length))
-    rows = evalbench.threshold_sweep(grid, sequences, params)
+    sequences = [runtime.gen_synthetic(*spec) for spec in args.synth]
+    rows = evalbench.threshold_sweep(args.grid, sequences, params)
     csv = evalbench.sweep_csv(rows)
     if args.out:
         Path(args.out).write_text(csv, encoding="utf-8")
@@ -262,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--difficulty", type=int, default=0)
     p.add_argument("--length", type=int, default=50)
-    p.add_argument("--size", default="120x160", help="frame size HxW")
+    p.add_argument("--size", type=_frame_size, default=(120, 160), help="frame size HxW")
     p.add_argument("--blur", action="store_true")
     p.set_defaults(func=cmd_gen_synth)
 
@@ -276,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track", help="track a sequence")
     _add_model_args(p)
-    p.add_argument("--frames", help="directory of PPM frames")
-    p.add_argument("--synth", help="seed:difficulty:length synthetic sequence")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--frames", help="directory of PPM frames")
+    source.add_argument("--synth", type=_synth_spec, help="seed:difficulty:length synthetic sequence")
     p.add_argument("--gt", help="ground-truth box file (default <frames>/groundtruth.txt)")
     p.add_argument("--init-box", help="x,y,w,h for frame 1 (default: first gt line)")
     p.add_argument("--tracker", choices=("full", "route1", "dyhit", "dytracker"), default="dyhit")
@@ -295,15 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="threshold sweep over synthetic sequences")
     _add_model_args(p)
-    p.add_argument("--synth", required=True, help="comma list of seed:difficulty:length")
-    p.add_argument("--grid", default="0,0.25,0.5,0.75,1")
+    p.add_argument("--synth", type=_synth_list, required=True,
+                   help="comma list of seed:difficulty:length")
+    p.add_argument("--grid", type=_float_list, default=[0.0, 0.25, 0.5, 0.75, 1.0])
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="latency benchmark")
     _add_model_args(p)
-    p.add_argument("--frames")
-    p.add_argument("--synth", help="seed:difficulty:length")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--frames")
+    source.add_argument("--synth", type=_synth_spec, help="seed:difficulty:length")
     p.add_argument("--gt")
     p.add_argument("--tracker", choices=("full", "route1", "dyhit", "dytracker"), default="full")
     p.add_argument("--threshold", type=float)

@@ -10,7 +10,8 @@ output size however large the box is. Taps outside the frame read the
 per-channel frame mean, and samples falling entirely outside the frame are
 filled with it exactly; the mean is computed only when some tap leaves the
 frame. Non-finite boxes, and non-finite pixels among the values a crop reads,
-raise ``NumericError``.
+raise ``NumericError``. Crops stay in the frame's 0-255 pixel units; the
+network's patch embed normalises them (see :mod:`hitrack.backbone`).
 
 ``track_sequence`` implements the per-frame protocol: the template is taken
 once from the first frame, every later frame is cropped around the previous

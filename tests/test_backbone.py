@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hitrack import make_config
-from hitrack.backbone import (backbone_forward, extract_search, global_vector,
-                              patch_embed, stage1_forward)
+from hitrack import backbone, make_config, tensor
+from hitrack.backbone import (PIXEL_MEAN, PIXEL_STD, backbone_forward, extract_search,
+                              global_vector, patch_embed, stage1_forward)
 from hitrack.config import TokenLayout, geometry
 from hitrack.errors import ShapeError
 from hitrack.weights import init_weights, zero_weights
@@ -28,6 +28,41 @@ class TestPatchEmbed:
     def test_indivisible_extents_rejected(self, toy_params):
         with pytest.raises(ShapeError):
             patch_embed(np.zeros((60, 64, 3), dtype=np.float32), toy_params.embed)
+
+
+class TestPixelNormalisation:
+    @pytest.fixture()
+    def conv_inputs(self, monkeypatch):
+        seen = []
+
+        def conv_spy(x, kernel, **kwargs):
+            seen.append(x)
+            return tensor.conv2d(x, kernel, **kwargs)
+
+        monkeypatch.setattr(backbone, "conv2d", conv_spy)
+        return seen
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_embed_stays_in_image_dtype(self, conv_inputs, dtype):
+        # no float64 upcast of a float32 image, no downcast of a float64 one
+        params = init_weights(make_config("toy", dtype=dtype), seed=7)
+        rng = np.random.default_rng(4)
+        out = patch_embed(rng.uniform(0, 255, (64, 64, 3)).astype(dtype), params.embed)
+        assert len(conv_inputs) == len(params.embed.convs)
+        assert all(x.dtype == np.dtype(dtype) for x in conv_inputs)
+        assert out.dtype == np.dtype(dtype)
+
+    def test_first_conv_sees_imagenet_normalised_pixels(self, conv_inputs, toy_params):
+        rng = np.random.default_rng(5)
+        image = rng.uniform(0, 255, (64, 64, 3))
+        patch_embed(image, toy_params.embed)
+        expect = (image / 255.0 - np.array(PIXEL_MEAN)) / np.array(PIXEL_STD)
+        assert np.allclose(conv_inputs[0], expect, rtol=0, atol=1e-12)
+        # a float32 image gets the same map, rounded to float32
+        patch_embed(image.astype(np.float32), toy_params.embed)
+        normalised32 = conv_inputs[len(toy_params.embed.convs)]
+        assert normalised32.dtype == np.float32
+        assert np.allclose(normalised32, expect, rtol=0, atol=1e-5)
 
 
 class TestLayoutChain:

@@ -209,6 +209,41 @@ class TestExitCodes:
             main(["track", "--tracker", "warp-drive", "--out", "x"])
         assert exc.value.code == cli.USAGE_ERROR
 
+    @staticmethod
+    def usage_code(argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert "usage:" in capsys.readouterr().err
+        return exc.value.code
+
+    @pytest.mark.parametrize("spec", ["5:0", "5:a:4", "5:0:4:1", ""])
+    def test_malformed_synth_is_2(self, tmp_path, capsys, spec):
+        for command in (["track", "--out", str(tmp_path / "o.txt")], ["bench"]):
+            argv = command + ["--variant", "toy", "--synth", spec]
+            assert self.usage_code(argv, capsys) == cli.USAGE_ERROR
+        argv = ["sweep", "--variant", "toy", "--synth", f"5:0:6,{spec}"]
+        assert self.usage_code(argv, capsys) == cli.USAGE_ERROR
+
+    @pytest.mark.parametrize("size", ["12y", "12x", "x16", "12x16x3"])
+    def test_malformed_size_is_2(self, tmp_path, capsys, size):
+        argv = ["gen-synth", "--out", str(tmp_path / "seq"), "--size", size]
+        assert self.usage_code(argv, capsys) == cli.USAGE_ERROR
+        assert not (tmp_path / "seq").exists()
+
+    @pytest.mark.parametrize("grid", ["0,x", "", "0,,1"])
+    def test_malformed_grid_is_2(self, capsys, grid):
+        argv = ["sweep", "--variant", "toy", "--synth", "5:0:6", "--grid", grid]
+        assert self.usage_code(argv, capsys) == cli.USAGE_ERROR
+
+    def test_missing_sequence_source_is_2(self, tmp_path, capsys):
+        argv = ["track", "--variant", "toy", "--out", str(tmp_path / "o.txt")]
+        assert self.usage_code(argv, capsys) == cli.USAGE_ERROR
+
+    def test_size_sets_frame_extent(self, tmp_path):
+        assert main(["gen-synth", "--out", str(tmp_path / "seq"), "--size", "48x64",
+                     "--length", "1"]) == 0
+        assert runtime.load_frames(tmp_path / "seq")[0].shape == (48, 64, 3)
+
     def test_missing_file_is_3(self, tmp_path):
         assert main(["eval", "--pred", str(tmp_path / "none.txt"),
                      "--gt", str(tmp_path / "none.txt")]) == cli.DATA_ERROR

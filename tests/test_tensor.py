@@ -253,6 +253,38 @@ class TestConvTransposeK4:
         assert np.allclose(tensor.conv_transpose2d(x, k, 2, 1), expect, atol=1e-12)
 
 
+class TestAffine:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(6, 5, 1), (6, 5, 3), (7, 9, 4), (4, 3, 16), (11, 16)])
+    def test_row_form_matches_broadcast_bit_exactly(self, shape, dtype):
+        # [H, W, C] maps take the tiled [H, W*C] row form; [T, C] tokens broadcast
+        rng = np.random.default_rng(sum(shape))
+        x = (rng.standard_normal(shape) * 100).astype(dtype)
+        scale = rng.standard_normal(shape[-1]).astype(dtype)
+        shift = rng.standard_normal(shape[-1]).astype(dtype)
+        out = tensor.affine(x, scale, shift)
+        assert out.dtype == dtype and out.shape == x.shape
+        assert np.array_equal(out, x * scale + shift)
+
+    @pytest.mark.parametrize("dtypes", [(np.float32, np.float32, np.float64),
+                                        (np.float32, np.float64, np.float32)])
+    def test_mixed_dtypes_promote_like_broadcast(self, dtypes):
+        rng = np.random.default_rng(17)
+        x, scale, shift = (rng.standard_normal(shape).astype(dt)
+                           for shape, dt in zip([(5, 4, 3), (3,), (3,)], dtypes))
+        out = tensor.affine(x, scale, shift)
+        expect = x * scale + shift
+        assert out.dtype == expect.dtype == np.float64
+        assert np.array_equal(out, expect)
+
+    def test_non_contiguous_map(self):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((8, 6, 3)).astype(np.float32)[::2, ::-1]
+        scale = rng.standard_normal(3).astype(np.float32)
+        shift = rng.standard_normal(3).astype(np.float32)
+        assert np.array_equal(tensor.affine(x, scale, shift), x * scale + shift)
+
+
 class TestConv2d:
     def test_same_padding_shape(self):
         rng = np.random.default_rng(13)
