@@ -36,15 +36,16 @@ class MhaWeights:
     """Projections for one attention layer plus its bias table.
 
     wq, wk: [C, N*D]; wv: [C, N*2D]; wo: [N*2D, C].
-    ``bias_table`` is [N, rows, cols] or None when running with absolute
-    position embeddings.
+    ``bias_table`` is the layer's [N, rows, cols] position-bias table; the
+    backbone gathers it into the [N, T, T] ``bias`` that ``mha_forward`` adds
+    to the scores.
     """
 
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
     wo: np.ndarray
-    bias_table: np.ndarray | None
+    bias_table: np.ndarray
     n_heads: int = 1
     key_dim: int = 16
 
@@ -58,7 +59,7 @@ class SaWeights:
     wk: np.ndarray
     wv: np.ndarray
     wo: np.ndarray
-    bias_table: np.ndarray | None
+    bias_table: np.ndarray
     n_heads: int = 1
     key_dim: int = 16
 

@@ -93,15 +93,13 @@ def global_vector(tokens: np.ndarray, layout: TokenLayout) -> np.ndarray:
     return tokens[layout.n_template:].mean(axis=0)
 
 
-def _layer_bias(attn_weights, index: np.ndarray) -> np.ndarray | None:
+def _layer_bias(attn_weights, index: np.ndarray) -> np.ndarray:
     """Gathered per-head bias for one layer, cached on the weight object.
 
     Weights are immutable after construction (see the concurrency notes), so
     the gather is a pure function of the layer and can be reused across
     frames.
     """
-    if attn_weights.bias_table is None:
-        return None
     cached = getattr(attn_weights, "_bias_cache", None)
     if cached is None:
         cached = posenc.gather_bias(attn_weights.bias_table, index)
@@ -138,8 +136,6 @@ def stage1_forward(template_img: np.ndarray, search_img: np.ndarray,
         srch = patch_embed(np.asarray(search_img, dtype=dt), params.embed)
     c1 = cfg.channels[0]
     tokens = np.concatenate([tpl.reshape(-1, c1), srch.reshape(-1, c1)], axis=0)
-    if params.abs_pos is not None:
-        tokens = tokens + params.abs_pos
     with mac_scope("stage1"):
         tokens = _run_stage(tokens, params.stages[0], geo.stages[0])
     layout1 = geo.stages[0].layout

@@ -25,10 +25,7 @@ _CONFIG_KEYS = {
     "search_size": int,
     "key_dim": int,
     "mlp_ratio": int,
-    "bridge_kernel": int,
     "tau_fg": float,
-    "arrangement": str,
-    "pe_mode": str,
     "classify_every_n": int,
     "dtype": str,
     "threshold": float,
@@ -93,10 +90,10 @@ def _add_model_args(p):
     p.add_argument("--tau-fg", dest="tau_fg", type=float, help="foreground score threshold")
 
 
-def _int_fields(text, sep, n, what):
-    """argparse type: ``n`` integers joined by ``sep``, else a usage error."""
+def _fields(text, sep, n, what, cast=int):
+    """argparse type: ``n`` numbers joined by ``sep``, else a usage error."""
     try:
-        values = tuple(int(p) for p in text.split(sep))
+        values = tuple(cast(p) for p in text.split(sep))
     except ValueError:
         values = ()
     if len(values) != n:
@@ -105,7 +102,7 @@ def _int_fields(text, sep, n, what):
 
 
 def _synth_spec(text):
-    return _int_fields(text, ":", 3, "seed:difficulty:length")
+    return _fields(text, ":", 3, "seed:difficulty:length")
 
 
 def _synth_list(text):
@@ -113,7 +110,7 @@ def _synth_list(text):
 
 
 def _frame_size(text):
-    return _int_fields(text, "x", 2, "HxW")
+    return _fields(text, "x", 2, "HxW")
 
 
 def _float_list(text):
@@ -123,11 +120,8 @@ def _float_list(text):
         raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}") from None
 
 
-def _parse_box(text):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise DataError(f"expected 'x,y,w,h', got {text!r}")
-    return tuple(float(p) for p in parts)
+def _box(text):
+    return _fields(text, ",", 4, "x,y,w,h", float)
 
 
 def _load_sequence(args, file_values):
@@ -186,7 +180,7 @@ def cmd_track(args):
     cfg = _build_config(args, file_values)
     params = _load_params(args, cfg)
     frames, gt = _load_sequence(args, file_values)
-    init_box = _parse_box(args.init_box) if args.init_box else gt[0]
+    init_box = args.init_box or gt[0]
     tracker = _make_tracker(args, cfg, params, file_values)
     result = runtime.track_sequence(frames, init_box, tracker)
     runtime.write_boxes(args.out, result.boxes)
@@ -300,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--frames", help="directory of PPM frames")
     source.add_argument("--synth", type=_synth_spec, help="seed:difficulty:length synthetic sequence")
     p.add_argument("--gt", help="ground-truth box file (default <frames>/groundtruth.txt)")
-    p.add_argument("--init-box", help="x,y,w,h for frame 1 (default: first gt line)")
+    p.add_argument("--init-box", type=_box, help="x,y,w,h for frame 1 (default: first gt line)")
     p.add_argument("--tracker", choices=("full", "route1", "dyhit", "dytracker"), default="dyhit")
     p.add_argument("--threshold", type=float)
     p.add_argument("--classify-every-n", type=int)

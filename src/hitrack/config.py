@@ -14,6 +14,11 @@ toy      32, 48, 64      2, 3, 4       8        64 / 128
 Input sizes must be divisible by 64: patch embedding downsamples 16x and the
 two Shrink Attention layers each halve the grids, so anything smaller leaves
 a stage with odd or empty grids.
+
+Every variant shares one design beyond this schedule: the diagonal
+joint-coordinate position encoding with a per-head bias table in every
+attention layer (see ``posenc``), and a Bridge Module whose two stride-2
+transposed-conv upsamplers have ``BRIDGE_KERNEL`` x ``BRIDGE_KERNEL`` kernels.
 """
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ from .errors import DataError, ShapeError
 from . import posenc
 
 DTYPES = {"float32": np.float32, "float64": np.float64}
+BRIDGE_KERNEL = 4
 
 
 @dataclass(frozen=True)
@@ -65,11 +71,8 @@ class ModelConfig:
     blocks: tuple[int, int, int] = (4, 4, 4)
     key_dim: int = 32
     mlp_ratio: int = 2
-    bridge_kernel: int = 4
     router_hidden: tuple[int, int] = (96, 32)
     tau_fg: float = 0.6
-    arrangement: str = "diagonal"
-    pe_mode: str = "bias"
     classify_every_n: int = 1
     dtype: str = "float32"
 
@@ -80,16 +83,10 @@ class ModelConfig:
         for size in (self.template_size, self.search_size):
             if size % 64:
                 raise ShapeError(f"input sizes must be divisible by 64, got {size}")
-        if self.arrangement not in posenc.ARRANGEMENTS:
-            raise ShapeError(f"unknown arrangement {self.arrangement!r}")
-        if self.pe_mode not in ("bias", "absolute"):
-            raise ShapeError(f"unknown pe_mode {self.pe_mode!r}")
         if self.dtype not in DTYPES:
             raise ShapeError(f"unknown dtype {self.dtype!r}")
         if c1 % 8:
             raise ShapeError(f"C1 must be divisible by 8 for the embed/head channel ramps, got {c1}")
-        if self.bridge_kernel not in (2, 4):
-            raise ShapeError("bridge_kernel must be 2 or 4 (stride-2 upsampling)")
         if self.classify_every_n < 1:
             raise DataError(f"classify_every_n must be >= 1, got {self.classify_every_n}")
         if not 0.0 <= self.tau_fg <= 1.0:
@@ -169,7 +166,7 @@ def geometry(config: ModelConfig) -> ModelGeometry:
     shrinks = []
     for stage in range(3):
         layout = config.layout(stage)
-        coords = posenc.assign_dual_coords(layout.template_hw, layout.search_hw, config.arrangement)
+        coords = posenc.assign_dual_coords(layout.template_hw, layout.search_hw)
         index = posenc.build_bias_index(coords)
         stages.append(StageGeometry(layout, coords, index, posenc.table_shape(coords)))
     for stage in range(2):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import center_distance_xywh, iou_xywh
-from .config import ModelConfig, geometry
+from .config import BRIDGE_KERNEL, ModelConfig, geometry
 from .errors import DataError
 from .routing import make_tracker
 from .runtime import track_sequence
@@ -132,13 +132,12 @@ def _stage_cost(config: ModelConfig, stage: int) -> LayerCost:
         + t * (2 * n * d) * c      # output projection
         + 2 * r * t * c * c        # mlp
     )
-    table = n * rows * cols if config.pe_mode == "bias" else 0
     per_block_params = (
         2 * c                      # attn affine
         + 2 * c * n * d            # wq, wk
         + c * n * 2 * d            # wv
         + 2 * n * d * c            # wo
-        + table
+        + n * rows * cols          # bias table
         + 2 * c                    # mlp affine
         + c * r * c + r * c        # mlp w1, b1
         + r * c * c + c            # mlp w2, b2
@@ -164,20 +163,19 @@ def _shrink_cost(config: ModelConfig, idx: int) -> LayerCost:
         + n * (t_out * t_in * 4 * d)
         + t_out * (4 * n * d) * cout
     )
-    table = n * rows * cols if config.pe_mode == "bias" else 0
     params = (
         2 * cin
         + 2 * cin * n * d
         + cin * n * 4 * d
         + 4 * n * d * cout
-        + table
+        + n * rows * cols
     )
     return LayerCost(macs, params)
 
 
 def _bridge_cost(config: ModelConfig) -> LayerCost:
     geo = geometry(config)
-    k = config.bridge_kernel
+    k = BRIDGE_KERNEL
     c1, c2, c3 = config.channels
     h3, w3 = geo.stages[2].layout.search_hw
     h2, w2 = geo.stages[1].layout.search_hw
@@ -217,12 +215,9 @@ def flop_account(config: ModelConfig) -> CostReport:
     ``modules`` sums to the plain full forward (embed through Head2); the
     router and Head1 appear under ``extras``.
     """
-    geo = geometry(config)
     embed = LayerCost()
     embed += _embed_cost(config, config.template_size, with_params=False)
     embed += _embed_cost(config, config.search_size, with_params=True)
-    if config.pe_mode == "absolute":
-        embed += LayerCost(params=geo.stages[0].layout.n_tokens * config.channels[0])
     modules = {
         "embed": embed,
         "stage1": _stage_cost(config, 0),
@@ -262,8 +257,13 @@ def latency_bench(tracker, frames, init_box, warmup: int = 1, reps: int = 3) -> 
     The sequence is run ``warmup + reps`` times; per-frame forward times from
     the warmup passes are discarded.
     """
+    if warmup < 0:
+        raise DataError(f"warmup must be >= 0, got {warmup}")
     if reps < 1:
         raise DataError(f"reps must be >= 1, got {reps}")
+    frames = list(frames)
+    if len(frames) < 2:
+        raise DataError("the sequence has no frame after the init frame to time")
     times = []
     routes = []
     for rep in range(warmup + reps):
@@ -310,6 +310,8 @@ def threshold_sweep(t_grid, sequences, params) -> list[SweepRow]:
     for seq in sequences:
         frames, gt = (seq.frames, seq.boxes) if hasattr(seq, "frames") else seq
         suite.append((list(frames), [tuple(float(v) for v in b) for b in gt]))
+    if not any(len(frames) > 1 for frames, _ in suite):
+        raise DataError("no sequence has a frame after its init frame to time")
 
     ious = [[] for _ in t_grid]
     seconds = [[] for _ in t_grid]
@@ -326,7 +328,7 @@ def threshold_sweep(t_grid, sequences, params) -> list[SweepRow]:
     medians = [float(np.median(s)) for s in seconds]
     return [SweepRow(threshold=t, metric=float(np.mean(ious[i])),
                      fps=1.0 / medians[i] if medians[i] > 0 else float("inf"),
-                     route1_fraction=r1[i] / len(seconds[i]) if seconds[i] else 0.0)
+                     route1_fraction=r1[i] / len(seconds[i]))
             for i, t in enumerate(t_grid)]
 
 

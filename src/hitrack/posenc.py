@@ -1,14 +1,11 @@
 """Dual-image position encoding.
 
-Template and search tokens are placed in one joint coordinate frame. Under
-the default diagonal arrangement the template occupies rows [0, Hz) and
-columns [0, Wz) while the search block occupies rows [Hz, Hz+Hx) and columns
-[Wz, Wz+Wx), so every token has a unique (row, col) pair and the two blocks
-share no row or column index. Attention biases are learned per head and
-indexed by the absolute coordinate offsets (|dr|, |dc|) between token pairs.
-
-The alternative arrangements (vertical, horizontal, separate) are kept as
-ablation baselines; they deliberately reuse indices on one or both axes.
+Template and search tokens are placed in one joint coordinate frame along
+its diagonal: the template occupies rows [0, Hz) and columns [0, Wz) while
+the search block occupies rows [Hz, Hz+Hx) and columns [Wz, Wz+Wx), so every
+token has a unique (row, col) pair and the two blocks share no row or column
+index. Attention biases are learned per head, LeViT-style, and indexed by the
+absolute coordinate offsets (|dr|, |dc|) between token pairs.
 """
 from __future__ import annotations
 
@@ -17,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-
-ARRANGEMENTS = ("diagonal", "vertical", "horizontal", "separate")
 
 
 @dataclass(frozen=True)
@@ -32,7 +27,6 @@ class CoordMap:
     cols: np.ndarray
     template_hw: tuple[int, int]
     search_hw: tuple[int, int]
-    arrangement: str
 
     @property
     def n_tokens(self) -> int:
@@ -49,31 +43,19 @@ def _block_coords(hw: tuple[int, int], row_off: int, col_off: int):
     return rr.reshape(-1), cc.reshape(-1)
 
 
-def assign_dual_coords(template_hw, search_hw, arrangement: str = "diagonal") -> CoordMap:
-    """Assign joint coordinates to the template and search token grids."""
+def assign_dual_coords(template_hw, search_hw) -> CoordMap:
+    """Assign diagonal joint coordinates to the template and search token grids."""
     template_hw = (int(template_hw[0]), int(template_hw[1]))
     search_hw = (int(search_hw[0]), int(search_hw[1]))
     if min(template_hw) <= 0 or min(search_hw) <= 0:
         raise ShapeError(f"grid extents must be positive, got {template_hw} and {search_hw}")
-    hz, wz = template_hw
-    if arrangement == "diagonal":
-        offsets = (hz, wz)
-    elif arrangement == "vertical":
-        offsets = (hz, 0)
-    elif arrangement == "horizontal":
-        offsets = (0, wz)
-    elif arrangement == "separate":
-        offsets = (0, 0)
-    else:
-        raise ShapeError(f"unknown arrangement {arrangement!r}, expected one of {ARRANGEMENTS}")
     tr, tc = _block_coords(template_hw, 0, 0)
-    sr, sc = _block_coords(search_hw, offsets[0], offsets[1])
+    sr, sc = _block_coords(search_hw, *template_hw)
     return CoordMap(
         rows=np.concatenate([tr, sr]),
         cols=np.concatenate([tc, sc]),
         template_hw=template_hw,
         search_hw=search_hw,
-        arrangement=arrangement,
     )
 
 
@@ -103,7 +85,6 @@ def subsample_coords(coords: CoordMap) -> CoordMap:
         cols=np.concatenate([tc, sc]),
         template_hw=(hz // 2, wz // 2),
         search_hw=(hx // 2, wx // 2),
-        arrangement=coords.arrangement,
     )
 
 

@@ -308,7 +308,12 @@ def read_ppm(path) -> np.ndarray:
         start = pos
         while pos < len(blob) and not blob[pos:pos + 1].isspace():
             pos += 1
-        fields.append(int(blob[start:pos]))
+        token = blob[start:pos]
+        if not token:
+            raise DataError(f"{path}: PPM header ends before width, height and maxval")
+        if not token.isdigit():
+            raise DataError(f"{path}: PPM header field {token.decode('latin-1')!r} is not an integer")
+        fields.append(int(token))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
     if maxval != 255:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AffineParams, BlockWeights, MhaWeights, MlpWeights, SaWeights
-from .config import ModelConfig, geometry
+from .config import BRIDGE_KERNEL, ModelConfig, geometry
 from .errors import DataError, ShapeError
 
 MAGIC = b"HITW"
@@ -82,7 +82,6 @@ class RouterWeights:
 class ModelParams:
     config: ModelConfig
     embed: EmbedWeights
-    abs_pos: np.ndarray | None  # [N1, C1] when pe_mode == "absolute"
     stages: list[list[BlockWeights]]
     shrinks: list[SaWeights]
     bridge: BridgeWeights
@@ -126,13 +125,7 @@ def _build_params(config: ModelConfig, make) -> ModelParams:
         convs.append(ConvAffine(make((3, 3, cin, cout), 9 * cin, dt), ones(cout), zeros(cout)))
     embed = EmbedWeights(convs)
 
-    abs_pos = None
-    if config.pe_mode == "absolute":
-        abs_pos = make((geo.stages[0].layout.n_tokens, c1), c1, dt)
-
     def bias_table(stage_geo, n_heads):
-        if config.pe_mode != "bias":
-            return None
         rows, cols = stage_geo.table_shape
         return zeros((n_heads, rows, cols))
 
@@ -179,7 +172,7 @@ def _build_params(config: ModelConfig, make) -> ModelParams:
             key_dim=d,
         ))
 
-    k = config.bridge_kernel
+    k = BRIDGE_KERNEL
     bridge = BridgeWeights(
         up1=make((k, k, c3, c2), k * k * c3, dt),
         up2=make((k, k, c2, c1), k * k * c2, dt),
@@ -208,7 +201,7 @@ def _build_params(config: ModelConfig, make) -> ModelParams:
         tau_fg=config.tau_fg,
     )
 
-    return ModelParams(config, embed, abs_pos, stages, shrinks, bridge, head1, head2, router)
+    return ModelParams(config, embed, stages, shrinks, bridge, head1, head2, router)
 
 
 def init_weights(config: ModelConfig, seed: int = 0) -> ModelParams:
@@ -223,8 +216,6 @@ def zero_weights(config: ModelConfig) -> ModelParams:
 def _named_slots(obj, prefix=""):
     """Yield (name, parent, key) for every ndarray slot in the tree."""
     if isinstance(obj, ModelParams):
-        if obj.abs_pos is not None:
-            yield "abs_pos", obj, "abs_pos"
         for name in ("embed", "stages", "shrinks", "bridge", "head1", "head2", "router"):
             yield from _named_slots(getattr(obj, name), name)
         return

@@ -54,7 +54,7 @@ def test_c02_position_encoding():
     for variant in ("base", "small", "tiny", "toy"):
         cfg = hitrack.make_config(variant)
         layout = cfg.layout(0)
-        coords = posenc.assign_dual_coords(layout.template_hw, layout.search_hw, "diagonal")
+        coords = posenc.assign_dual_coords(layout.template_hw, layout.search_hw)
         pairs = set(zip(coords.rows.tolist(), coords.cols.tolist()))
         assert len(pairs) == layout.n_tokens, f"{variant}: coordinate collision"
     coords = posenc.assign_dual_coords((2, 2), (4, 4))

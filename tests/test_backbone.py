@@ -195,13 +195,3 @@ class TestGlobalVector:
         outs = backbone_forward(*toy_pair, toy_params)
         assert outs.g.shape == (toy_params.config.channels[2],)
 
-
-class TestAbsolutePeMode:
-    def test_forward_runs_and_differs_from_bias_mode(self, toy_cfg, toy_pair):
-        cfg_abs = make_config("toy", pe_mode="absolute")
-        p_abs = init_weights(cfg_abs, seed=3)
-        assert p_abs.abs_pos is not None
-        assert p_abs.stages[0][0].attn.bias_table is None
-        outs = backbone_forward(*toy_pair, p_abs)
-        assert outs.s_min.shape == (2, 2, 64)
-        assert np.isfinite(outs.s_min).all()

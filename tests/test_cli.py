@@ -51,6 +51,19 @@ class TestTrackEvalFlow:
         printed = capsys.readouterr().out
         assert "AO:" in printed and "AUC:" in printed
 
+    def test_init_box_overrides_first_gt_box(self, seq_dir, tmp_path):
+        gt = runtime.read_boxes(seq_dir / "groundtruth.txt")
+        out_a, out_b = tmp_path / "a.txt", tmp_path / "b.txt"
+        base = ["track", "--variant", "toy", "--seed", "7", "--frames", str(seq_dir),
+                "--tracker", "full"]
+        assert main(base + ["--out", str(out_a)]) == 0
+        box = ",".join(repr(v) for v in gt[0])
+        assert main(base + ["--init-box", box, "--out", str(out_b)]) == 0
+        assert out_a.read_text() == out_b.read_text()
+        shifted = ",".join(repr(v + 1.0) for v in gt[0])
+        assert main(base + ["--init-box", shifted, "--out", str(out_b)]) == 0
+        assert runtime.read_boxes(out_b)[0] == tuple(v + 1.0 for v in gt[0])
+
     def test_track_synth_shortcut(self, tmp_path):
         out = tmp_path / "boxes.txt"
         assert main(["track", "--variant", "toy", "--synth", "5:0:6",
@@ -196,6 +209,14 @@ class TestConfigFile:
         cfg.write_text("variant = toy\ntau_fg = nan\n")
         assert main(["flops", "--config", str(cfg)]) == cli.DATA_ERROR
 
+    @pytest.mark.parametrize("line", ["arrangement = vertical", "pe_mode = absolute",
+                                      "bridge_kernel = 2"])
+    def test_ablation_switch_keys_are_unknown(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"variant = toy\n{line}\n")
+        assert main(["flops", "--config", str(cfg)]) == cli.DATA_ERROR
+        assert repr(line.split(" ")[0]) in capsys.readouterr().err
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("variant toy\n")
@@ -235,6 +256,13 @@ class TestExitCodes:
         argv = ["sweep", "--variant", "toy", "--synth", "5:0:6", "--grid", grid]
         assert self.usage_code(argv, capsys) == cli.USAGE_ERROR
 
+    @pytest.mark.parametrize("box", ["1,2,a,4", "1,2,3", ""])
+    def test_malformed_init_box_is_2(self, tmp_path, capsys, box):
+        argv = ["track", "--variant", "toy", "--synth", "5:0:4", "--init-box", box,
+                "--out", str(tmp_path / "o.txt")]
+        assert self.usage_code(argv, capsys) == cli.USAGE_ERROR
+        assert not (tmp_path / "o.txt").exists()
+
     def test_missing_sequence_source_is_2(self, tmp_path, capsys):
         argv = ["track", "--variant", "toy", "--out", str(tmp_path / "o.txt")]
         assert self.usage_code(argv, capsys) == cli.USAGE_ERROR
@@ -243,6 +271,26 @@ class TestExitCodes:
         assert main(["gen-synth", "--out", str(tmp_path / "seq"), "--size", "48x64",
                      "--length", "1"]) == 0
         assert runtime.load_frames(tmp_path / "seq")[0].shape == (48, 64, 3)
+
+    @pytest.mark.parametrize("header", [b"P6\nabc 2\n255\n", b"P6\n4"])
+    def test_malformed_ppm_header_is_3(self, tmp_path, capsys, header):
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(header)
+        code = main(["infer", "--variant", "toy", "--template", str(bad), "--search", str(bad)])
+        assert code == cli.DATA_ERROR
+        assert "bad.ppm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timing", [["--synth", "1:0:1"],
+                                        ["--synth", "5:0:4", "--warmup", "-1", "--reps", "1"],
+                                        ["--synth", "5:0:4", "--warmup", "-2", "--reps", "3"]])
+    def test_bench_without_timed_frames_is_3(self, capsys, timing):
+        assert main(["bench", "--variant", "toy", *timing]) == cli.DATA_ERROR
+        assert "fps" not in capsys.readouterr().out
+
+    def test_sweep_without_stepped_frames_is_3(self, capsys):
+        code = main(["sweep", "--variant", "toy", "--synth", "1:0:1", "--grid", "0,1"])
+        assert code == cli.DATA_ERROR
+        assert "inf" not in capsys.readouterr().out
 
     def test_missing_file_is_3(self, tmp_path):
         assert main(["eval", "--pred", str(tmp_path / "none.txt"),

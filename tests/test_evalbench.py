@@ -162,6 +162,19 @@ class TestLatencyBench:
         with pytest.raises(DataError):
             latency_bench(make_tracker("route1", toy_params), [], (0, 0, 1, 1), warmup=0, reps=0)
 
+    @pytest.mark.parametrize("warmup,reps", [(-1, 1), (-2, 3)])
+    def test_negative_warmup_rejected(self, toy_params, warmup, reps):
+        seq = gen_synthetic(seed=21, difficulty=0, length=3)
+        with pytest.raises(DataError, match="warmup"):
+            latency_bench(make_tracker("full", toy_params), list(seq.frames),
+                          tuple(seq.boxes[0]), warmup=warmup, reps=reps)
+
+    def test_no_stepped_frame_rejected(self, toy_params):
+        seq = gen_synthetic(seed=21, difficulty=0, length=1)
+        with pytest.raises(DataError, match="no frame"):
+            latency_bench(make_tracker("full", toy_params), list(seq.frames),
+                          tuple(seq.boxes[0]), warmup=0, reps=1)
+
     def test_route1_median_below_full_median(self, toy_params):
         seq = gen_synthetic(seed=22, difficulty=0, length=10)
         frames, box = list(seq.frames), tuple(seq.boxes[0])
@@ -224,3 +237,8 @@ class TestThresholdSweep:
     def test_empty_grid_rejected(self, toy_params):
         with pytest.raises(DataError):
             threshold_sweep([], [], toy_params)
+
+    def test_no_stepped_frame_rejected(self, toy_params):
+        single = [gen_synthetic(seed=40 + i, difficulty=0, length=1) for i in range(2)]
+        with pytest.raises(DataError, match="no sequence"):
+            threshold_sweep([0.0, 1.0], single, toy_params)

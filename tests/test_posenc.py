@@ -5,8 +5,8 @@ from hitrack import posenc
 from hitrack.errors import ShapeError
 
 
-def coords_2x2_4x4(arrangement="diagonal"):
-    return posenc.assign_dual_coords((2, 2), (4, 4), arrangement)
+def coords_2x2_4x4():
+    return posenc.assign_dual_coords((2, 2), (4, 4))
 
 
 class TestAssignDualCoords:
@@ -31,27 +31,6 @@ class TestAssignDualCoords:
         assert not (set(cm.rows[:nz]) & set(cm.rows[nz:]))
         assert not (set(cm.cols[:nz]) & set(cm.cols[nz:]))
 
-    def test_vertical_collides_in_cols_only(self):
-        cm = coords_2x2_4x4("vertical")
-        nz = cm.n_template
-        assert not (set(cm.rows[:nz]) & set(cm.rows[nz:]))
-        assert set(cm.cols[:nz]) & set(cm.cols[nz:])
-
-    def test_horizontal_collides_in_rows_only(self):
-        cm = coords_2x2_4x4("horizontal")
-        nz = cm.n_template
-        assert set(cm.rows[:nz]) & set(cm.rows[nz:])
-        assert not (set(cm.cols[:nz]) & set(cm.cols[nz:]))
-
-    def test_separate_overlaps_pairs(self):
-        cm = coords_2x2_4x4("separate")
-        pairs = list(zip(cm.rows.tolist(), cm.cols.tolist()))
-        assert len(set(pairs)) < len(pairs)
-
-    def test_unknown_arrangement(self):
-        with pytest.raises(ShapeError):
-            posenc.assign_dual_coords((2, 2), (4, 4), "spiral")
-
     def test_nonpositive_extents(self):
         with pytest.raises(ShapeError):
             posenc.assign_dual_coords((0, 2), (4, 4))
@@ -59,7 +38,7 @@ class TestAssignDualCoords:
 
 class TestBiasIndex:
     def test_direct_offsets(self):
-        cm = posenc.CoordMap(np.array([0, 2]), np.array([0, 3]), (1, 1), (1, 1), "diagonal")
+        cm = posenc.CoordMap(np.array([0, 2]), np.array([0, 3]), (1, 1), (1, 1))
         idx = posenc.build_bias_index(cm)
         assert tuple(idx[0, 1]) == (2, 3)
         assert tuple(idx[1, 0]) == (2, 3)
@@ -73,12 +52,11 @@ class TestBiasIndex:
         assert np.array_equal(idx, idx.transpose(1, 0, 2))
 
     def test_minimal_table_extents(self):
-        for arrangement in posenc.ARRANGEMENTS:
-            cm = posenc.assign_dual_coords((2, 4), (6, 4), arrangement)
-            idx = posenc.build_bias_index(cm)
-            rows, cols = posenc.table_shape(cm)
-            assert idx[..., 0].max() == rows - 1
-            assert idx[..., 1].max() == cols - 1
+        cm = posenc.assign_dual_coords((2, 4), (6, 4))
+        idx = posenc.build_bias_index(cm)
+        rows, cols = posenc.table_shape(cm)
+        assert idx[..., 0].max() == rows - 1
+        assert idx[..., 1].max() == cols - 1
 
     def test_diagonal_table_extents(self):
         cm = coords_2x2_4x4()

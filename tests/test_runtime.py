@@ -384,6 +384,18 @@ class TestSequenceIo:
         with pytest.raises(DataError):
             read_ppm(path)
 
+    def test_ppm_non_integer_header_field(self, tmp_path):
+        path = tmp_path / "f.ppm"
+        path.write_bytes(b"P6\nabc 2\n255\n")
+        with pytest.raises(DataError, match="f.ppm.*'abc'"):
+            read_ppm(path)
+
+    def test_ppm_truncated_header(self, tmp_path):
+        path = tmp_path / "f.ppm"
+        path.write_bytes(b"P6\n4")
+        with pytest.raises(DataError, match="f.ppm.*header ends"):
+            read_ppm(path)
+
     def test_missing_frames_dir(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(DataError):
