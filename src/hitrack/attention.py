@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import TokenLayout
 from .errors import ShapeError
-from .tensor import affine, hardswish, linear, matmul, softmax_rows
+from .tensor import add_into, affine, hardswish, linear, matmul, softmax_rows
 
 
 @dataclass(eq=False)
@@ -91,10 +91,12 @@ def _attend(q_in: np.ndarray, kv_in: np.ndarray, w: MhaWeights | SaWeights, bias
     q = matmul(q_in, w.wq).reshape(tq, n, d).transpose(1, 0, 2)
     k = matmul(kv_in, w.wk).reshape(tk, n, d).transpose(1, 2, 0)
     v = matmul(kv_in, w.wv).reshape(tk, n, -1).transpose(1, 0, 2)
-    scores = matmul(q, k) / math.sqrt(d)
+    scores = matmul(q, k)
+    scores /= math.sqrt(d)
     if bias is not None:
-        scores = scores + bias
-    heads = hardswish(matmul(softmax_rows(scores), v))
+        scores = add_into(scores, bias)
+    heads = matmul(softmax_rows(scores, out=scores), v)
+    hardswish(heads, out=heads)
     return matmul(heads.transpose(1, 0, 2).reshape(tq, -1), w.wo)
 
 
@@ -131,10 +133,15 @@ def shrink_attention(tokens: np.ndarray, layout: TokenLayout, w: SaWeights,
 
 
 def mlp_forward(tokens: np.ndarray, w: MlpWeights) -> np.ndarray:
-    return linear(hardswish(linear(tokens, w.w1, w.b1)), w.w2, w.b2)
+    hidden = linear(tokens, w.w1, w.b1)
+    return linear(hardswish(hidden, out=hidden), w.w2, w.b2)
 
 
 def transformer_block(tokens: np.ndarray, bw: BlockWeights, bias: np.ndarray | None) -> np.ndarray:
-    """Residual block: x + MHA(affine(x)), then y + MLP(affine(y))."""
-    x = tokens + mha_forward(affine(tokens, bw.attn_affine.scale, bw.attn_affine.shift), bw.attn, bias)
-    return x + mlp_forward(affine(x, bw.mlp_affine.scale, bw.mlp_affine.shift), bw.mlp)
+    """Residual block: x + MHA(affine(x)), then y + MLP(affine(y)).
+
+    Each residual is added into the fresh branch output.
+    """
+    x = add_into(mha_forward(affine(tokens, bw.attn_affine.scale, bw.attn_affine.shift), bw.attn, bias),
+                 tokens)
+    return add_into(mlp_forward(affine(x, bw.mlp_affine.scale, bw.mlp_affine.shift), bw.mlp), x)

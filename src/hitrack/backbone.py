@@ -71,10 +71,9 @@ def patch_embed(image: np.ndarray, ew: EmbedWeights) -> np.ndarray:
     x = affine(image, _PIXEL_SCALE.astype(dt), _PIXEL_SHIFT.astype(dt))
     last = len(ew.convs) - 1
     for i, conv in enumerate(ew.convs):
-        x = conv2d(x, conv.kernel, stride=2, padding=1)
-        x = affine(x, conv.scale, conv.shift)
+        x = affine(conv2d(x, conv.kernel, stride=2, padding=1), conv.scale, conv.shift)
         if i != last:
-            x = hardswish(x)
+            hardswish(x, out=x)
     return x
 
 

@@ -254,9 +254,20 @@ def cmd_flops(args):
     return 0
 
 
+def _router_hidden(dim: int) -> tuple[int, int]:
+    """Router hidden sizes of the variants whose stage-1 width C1 is ``dim``."""
+    widths = {v: make_config(v) for v in VARIANTS}
+    hidden = {cfg.router_hidden for cfg in widths.values() if cfg.channels[0] == dim}
+    if len(hidden) != 1:
+        known = ", ".join(f"{v} {cfg.channels[0]}" for v, cfg in widths.items())
+        raise DataError(f"{dim}-channel features fit no single variant's router (stage-1 widths: {known})")
+    return hidden.pop()
+
+
 def cmd_fit_router(args):
     features, targets = objectives.read_router_dataset(args.dataset)
-    fitted, losses = objectives.fit_router(features, targets, args.lr, args.epochs, args.seed)
+    fitted, losses = objectives.fit_router(features, targets, args.lr, args.epochs, args.seed,
+                                           hidden=_router_hidden(features.shape[1]))
     weights.save_router(args.out, fitted)
     print(f"fitted router on {features.shape[0]} samples (dim {features.shape[1]})")
     print(f"loss: {losses[0]:.6f} -> {losses[-1]:.6f} over {args.epochs} epochs")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .tensor import conv2d, conv_transpose2d, hardswish, mac_scope, matmul, softmax_rows
+from .tensor import add_into, conv2d, conv2d_many, conv_transpose2d, hardswish, mac_scope, matmul, softmax_rows
 from .weights import BridgeWeights, CornerHeadWeights
 
 
@@ -43,8 +43,8 @@ def bridge(s_max: np.ndarray, s_mid: np.ndarray, s_min: np.ndarray,
                 f"upsampler {kernel.shape} does not map {low.shape[2]} -> {high.shape[2]} channels")
     with mac_scope("bridge"):
         pad = (w.up1.shape[0] - 2) // 2
-        mid = s_mid + conv_transpose2d(s_min, w.up1, stride=2, padding=pad)
-        return s_max + conv_transpose2d(mid, w.up2, stride=2, padding=pad)
+        mid = add_into(conv_transpose2d(s_min, w.up1, stride=2, padding=pad), s_mid)
+        return add_into(conv_transpose2d(mid, w.up2, stride=2, padding=pad), s_max)
 
 
 def soft_argmax(heatmap: np.ndarray) -> tuple[float, float]:
@@ -72,19 +72,22 @@ def box_from_heatmaps(tl_heatmap: np.ndarray, br_heatmap: np.ndarray) -> BoxPred
     return BoxPrediction((x1, y1, x2, y2), tl_heatmap, br_heatmap)
 
 
-def _branch_logits(fmap: np.ndarray, branch) -> np.ndarray:
-    x = fmap
-    last = len(branch) - 1
-    for i, conv in enumerate(branch):
-        x = conv2d(x, conv.kernel, stride=1, padding=1) + conv.bias
-        if i != last:
-            x = hardswish(x)
-    return x[:, :, 0]
+def _branch_logits(first: np.ndarray, branch) -> np.ndarray:
+    """A corner branch's logit map, from its first convolution's output."""
+    x = first
+    for conv, following in zip(branch, branch[1:]):
+        x = add_into(x, conv.bias)
+        x = conv2d(hardswish(x, out=x), following.kernel, stride=1, padding=1)
+    return add_into(x, branch[-1].bias)[:, :, 0]
 
 
 def corner_head(o_s: np.ndarray, g: np.ndarray, w: CornerHeadWeights,
                 scope: str = "head") -> BoxPrediction:
-    """Global-vector re-weighting followed by the two corner branches."""
+    """Global-vector re-weighting followed by the two corner branches.
+
+    The branches read one re-weighted map, so their first convolutions share
+    one im2col.
+    """
     h, wd, c = o_s.shape
     with mac_scope(scope):
         gv = np.asarray(g).reshape(1, -1)
@@ -93,9 +96,13 @@ def corner_head(o_s: np.ndarray, g: np.ndarray, w: CornerHeadWeights,
         if gv.shape[1] != c:
             raise ShapeError(f"global vector has {gv.shape[1]} channels, features have {c}")
         flat = o_s.reshape(h * wd, c)
-        sim = matmul(flat, gv.T) / math.sqrt(c)
-        attn = softmax_rows(sim.reshape(1, h * wd)).reshape(h * wd, 1)
+        sim = matmul(flat, gv.T).reshape(1, h * wd)
+        sim /= math.sqrt(c)
+        attn = softmax_rows(sim, out=sim).reshape(h * wd, 1)
         weighted = (flat * attn).reshape(h, wd, c)
-        tl = softmax_rows(_branch_logits(weighted, w.tl).reshape(1, h * wd)).reshape(h, wd)
-        br = softmax_rows(_branch_logits(weighted, w.br).reshape(1, h * wd)).reshape(h, wd)
+        tl_first, br_first = conv2d_many(weighted, (w.tl[0].kernel, w.br[0].kernel), stride=1, padding=1)
+        tl = _branch_logits(tl_first, w.tl).reshape(1, h * wd)
+        br = _branch_logits(br_first, w.br).reshape(1, h * wd)
+        tl = softmax_rows(tl, out=tl).reshape(h, wd)
+        br = softmax_rows(br, out=br).reshape(h, wd)
     return box_from_heatmaps(tl, br)

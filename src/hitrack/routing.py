@@ -48,9 +48,9 @@ class RouteDecision:
 
 def router_apply(features: np.ndarray, w: RouterWeights) -> np.ndarray:
     """Per-token scores in (0, 1) for a [T, C1] feature matrix."""
-    z = hardswish(linear(features, w.w1, w.b1))
-    z = hardswish(linear(z, w.w2, w.b2))
-    return sigmoid(linear(z, w.w3, w.b3))[:, 0]
+    z = linear(features, w.w1, w.b1)
+    z = linear(hardswish(z, out=z), w.w2, w.b2)
+    return sigmoid(linear(hardswish(z, out=z), w.w3, w.b3))[:, 0]
 
 
 def router_score(s_max_feat: np.ndarray, w: RouterWeights):

@@ -1,6 +1,6 @@
 """Dense-array kernels used by every layer of the tracker.
 
-All kernels are pure functions on row-major NumPy arrays. ``matmul`` takes
+All kernels are functions of row-major NumPy arrays. ``matmul`` takes
 ``[..., m, k] @ [..., k, n]`` stacks whose leading axes broadcast (a 2-D
 operand pairs with every matrix of a stack), so all heads of an attention
 layer are one call. Two accumulation strategies are used:
@@ -10,6 +10,14 @@ layer are one call. Two accumulation strategies are used:
   oracle tests and the gradient checks.
 * float32 operands: BLAS matmul, which is deterministic within a process but
   does not promise a particular summation order.
+
+Each kernel allocates its output once and finishes its elementwise steps in
+place on it; it writes into no argument except an explicit ``out=`` buffer,
+which may alias the input (the NumPy idiom). ``add_into`` finishes a sum in
+its first operand, a fresh array the caller owns. Every element sees the same IEEE
+operations in the same order as the plain expression in each docstring, so
+results are bit-identical to it. An in-place step runs only when it keeps the
+dtype; otherwise the kernel promotes as the plain expression does.
 
 Multiply-accumulate counts (``out.size * k`` per matmul) are recorded into
 every ``MacCounter`` opened by ``count_macs`` in the current context, under
@@ -101,18 +109,36 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row softmax along the last axis, stabilised by max subtraction."""
-    x = np.asarray(x)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _check_out(out: np.ndarray, shape, dtype) -> None:
+    if out.shape != shape or out.dtype != dtype:
+        raise ShapeError(f"out is {out.dtype}{out.shape}, the result is {np.dtype(dtype)}{shape}")
 
 
-def hardswish(x):
-    """x * clamp(x + 3, 0, 6) / 6, elementwise."""
+def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row softmax along the last axis, stabilised by max subtraction:
+    ``e / e.sum(-1)`` with ``e = exp(x - x.max(-1))``, in one buffer."""
     x = np.asarray(x)
-    return x * np.clip(x + 3.0, 0.0, 6.0) / 6.0
+    if out is not None:
+        _check_out(out, x.shape, x.dtype if x.dtype.kind == "f" else np.float64)
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    if e.dtype.kind == "f":
+        np.exp(e, out=e)
+    else:
+        e = np.exp(e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def hardswish(x, out: np.ndarray | None = None):
+    """``x * clip(x + 3, 0, 6) / 6``, elementwise, on one temporary."""
+    x = np.asarray(x)
+    t = np.asarray(x + 3.0)
+    if out is not None:
+        _check_out(out, t.shape, t.dtype)
+    np.clip(t, 0.0, 6.0, out=t)
+    out = np.multiply(x, t, out=t if out is None else out)
+    out /= 6.0
+    return out
 
 
 def hardswish_grad(x):
@@ -132,35 +158,44 @@ def sigmoid(x):
     return out
 
 
+def add_into(buf: np.ndarray, other) -> np.ndarray:
+    """``buf + other``, written into ``buf`` when the sum keeps its dtype.
+
+    ``buf`` must be a fresh array the caller owns, and ``other`` must
+    broadcast to its shape. IEEE addition is commutative, so the result has
+    the bits of ``other + buf`` as well.
+    """
+    if np.result_type(buf, other) == buf.dtype:
+        buf += other
+        return buf
+    return buf + other
+
+
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """x @ w + b for token matrices [T, in] and weights [in, out]."""
     out = matmul(x, w)
     if b is not None:
-        out = out + b
+        out = add_into(out, b)
     return out
 
 
 def affine(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Per-channel scale and shift over the last axis (fused-norm form).
+    """Per-channel scale and shift over the last axis (fused-norm form):
+    ``x * scale + shift``.
 
     An [H, W, C] map runs on its [H, W*C] row view with the scale and shift
-    tiled W times, adding the shift in place when that keeps the dtype. Each
-    element sees the same product and sum as under the broadcast, so the
-    result is bit-identical, but NumPy no longer loops over a short last axis
-    and the map needs one full-size temporary, not two.
+    tiled W times. Each element sees the same product and sum as under the
+    broadcast, so the result is bit-identical, but NumPy no longer loops over
+    a short last axis. The shift is added in place on the product, so the
+    map needs one full-size buffer, not two.
     """
     if x.ndim == 3 and np.shape(scale) == np.shape(shift) == (x.shape[2],):
         h, w, c = x.shape
         # Tiled W times; repeating a [1, C] row costs a third of an np.tile call.
         scale = np.repeat(np.asarray(scale)[None], w, axis=0).reshape(w * c)
         shift = np.repeat(np.asarray(shift)[None], w, axis=0).reshape(w * c)
-        rows = x.reshape(h, w * c) * scale
-        if np.result_type(rows, shift) == rows.dtype:
-            rows += shift
-        else:
-            rows = rows + shift
-        return rows.reshape(h, w, c)
-    return x * scale + shift
+        return add_into(x.reshape(h, w * c) * scale, shift).reshape(h, w, c)
+    return add_into(x * scale, shift)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
@@ -169,32 +204,42 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
         padded = np.zeros((h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
         padded[padding:padding + h, padding:padding + w] = x
     else:
-        padded = x
+        padded = np.ascontiguousarray(x)
     ph, pw = padded.shape[:2]
     oh = (ph - kh) // stride + 1
     ow = (pw - kw) // stride + 1
     s0, s1, s2 = padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(oh, ow, kh, kw, c),
-        strides=(s0 * stride, s1 * stride, s0, s1, s2),
-        writeable=False,
-    )
+    # The window view is built directly on the buffer: as_strided costs about
+    # 5 us a call, a quarter of a small map's whole im2col. It is only read.
+    windows = np.ndarray((oh, ow, kh, kw, c), padded.dtype, padded, 0,
+                         (s0 * stride, s1 * stride, s0, s1, s2))
     return windows.reshape(oh * ow, kh * kw * c), oh, ow
+
+
+def _kernel_extent(x: np.ndarray, kernel: np.ndarray) -> tuple[int, int]:
+    if x.ndim != 3 or kernel.ndim != 4:
+        raise ShapeError(f"conv2d expects HWC input and khkwCinCout kernel, got {x.shape}, {kernel.shape}")
+    if x.shape[2] != kernel.shape[2]:
+        raise ShapeError(f"conv2d channel mismatch: input has {x.shape[2]}, kernel expects {kernel.shape[2]}")
+    return kernel.shape[:2]
+
+
+def conv2d_many(x: np.ndarray, kernels, stride: int = 1, padding: int = 0) -> list[np.ndarray]:
+    """2-D convolutions of one [H, W, Cin] map with each of several
+    [kh, kw, Cin, Cout] kernels of one extent, on one shared im2col."""
+    x = np.asarray(x)
+    kernels = [np.asarray(k) for k in kernels]
+    extents = {_kernel_extent(x, k) for k in kernels}
+    if len(extents) != 1:
+        raise ShapeError(f"conv2d_many needs kernels of one extent, got {sorted(extents)}")
+    kh, kw = extents.pop()
+    cols, oh, ow = _im2col(x, kh, kw, stride, padding)
+    return [matmul(cols, k.reshape(-1, k.shape[3])).reshape(oh, ow, k.shape[3]) for k in kernels]
 
 
 def conv2d(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
     """2-D convolution of an [H, W, Cin] map with a [kh, kw, Cin, Cout] kernel."""
-    x = np.asarray(x)
-    kernel = np.asarray(kernel)
-    if x.ndim != 3 or kernel.ndim != 4:
-        raise ShapeError(f"conv2d expects HWC input and khkwCinCout kernel, got {x.shape}, {kernel.shape}")
-    kh, kw, cin, cout = kernel.shape
-    if x.shape[2] != cin:
-        raise ShapeError(f"conv2d channel mismatch: input has {x.shape[2]}, kernel expects {cin}")
-    cols, oh, ow = _im2col(x, kh, kw, stride, padding)
-    out = matmul(cols, kernel.reshape(kh * kw * cin, cout))
-    return out.reshape(oh, ow, cout)
+    return conv2d_many(x, (kernel,), stride, padding)[0]
 
 
 def conv_transpose2d(x: np.ndarray, kernel: np.ndarray, stride: int = 2, padding: int = 0) -> np.ndarray:

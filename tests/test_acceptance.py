@@ -317,17 +317,26 @@ def test_c13_head_numerics(variant, monkeypatch):
     state = stage1_forward(tpl, srch, params)
     activations, softmaxes = [], []
 
-    def conv_spy(x, kernel, **kwargs):
-        out = tensor.conv2d(x, kernel, **kwargs)
-        activations.extend((x, out))
+    # The spies keep copies: the head adds biases, runs hardswish and
+    # normalises its logits in place on the buffers they would capture.
+    def conv_spy(x, kernel, *args, **kwargs):
+        out = tensor.conv2d(x, kernel, *args, **kwargs)
+        activations.extend((x.copy(), out.copy()))
         return out
 
-    def softmax_spy(x):
-        out = tensor.softmax_rows(x)
-        softmaxes.append(out)
+    def conv_many_spy(x, kernels, *args, **kwargs):
+        outs = tensor.conv2d_many(x, kernels, *args, **kwargs)
+        activations.append(x.copy())
+        activations.extend(out.copy() for out in outs)
+        return outs
+
+    def softmax_spy(x, *args, **kwargs):
+        out = tensor.softmax_rows(x, *args, **kwargs)
+        softmaxes.append(out.copy())
         return out
 
     monkeypatch.setattr(fusion, "conv2d", conv_spy)
+    monkeypatch.setattr(fusion, "conv2d_many", conv_many_spy)
     monkeypatch.setattr(fusion, "softmax_rows", softmax_spy)
     smallest_normal = np.finfo(np.float32).tiny
     peaks = {}

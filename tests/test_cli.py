@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hitrack
-from hitrack import cli, objectives, runtime
+from hitrack import cli, objectives, runtime, weights
 from hitrack.cli import main
 from hitrack.errors import DataError
 
@@ -181,7 +181,7 @@ class TestSweepBenchFlops:
 
 class TestFitRouterCommand:
     def test_fit_and_save(self, tmp_path, capsys):
-        x, y = make_separable_dataset(seed=8, n=128, dim=16)
+        x, y = make_separable_dataset(seed=8, n=128, dim=32)
         data = tmp_path / "set.rtds"
         objectives.write_router_dataset(data, x, y)
         out = tmp_path / "router.hitw"
@@ -190,6 +190,29 @@ class TestFitRouterCommand:
         assert out.exists()
         printed = capsys.readouterr().out
         assert "loss:" in printed
+
+    @pytest.mark.parametrize("variant", ["toy", "tiny", "base"])
+    def test_fitted_router_loads_for_its_variant(self, tmp_path, variant):
+        # the hidden sizes come from the variant whose C1 is the feature width
+        cfg = hitrack.make_config(variant)
+        x, y = make_separable_dataset(seed=10, n=64, dim=cfg.channels[0])
+        data = tmp_path / "set.rtds"
+        objectives.write_router_dataset(data, x, y)
+        out = tmp_path / "router.hitw"
+        assert main(["fit-router", "--dataset", str(data), "--epochs", "3", "--out", str(out)]) == 0
+        router = weights.load_router(out, cfg)
+        assert (router.w1.shape, router.w2.shape) == ((cfg.channels[0], cfg.router_hidden[0]),
+                                                      cfg.router_hidden)
+
+    def test_feature_width_of_no_variant_is_3(self, tmp_path, capsys):
+        x, y = make_separable_dataset(seed=11, n=32, dim=16)
+        data = tmp_path / "set.rtds"
+        objectives.write_router_dataset(data, x, y)
+        out = tmp_path / "router.hitw"
+        assert main(["fit-router", "--dataset", str(data), "--epochs", "3",
+                     "--out", str(out)]) == cli.DATA_ERROR
+        assert "16-channel" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -303,7 +326,7 @@ class TestExitCodes:
                      "--frames", str(seq_dir), "--out", str(tmp_path / "o.txt")]) == cli.DATA_ERROR
 
     def test_numeric_failure_is_4(self, tmp_path):
-        x, y = make_separable_dataset(seed=9, n=32, dim=8)
+        x, y = make_separable_dataset(seed=9, n=32, dim=32)
         x[0, 0] = np.nan
         data = tmp_path / "nan.rtds"
         objectives.write_router_dataset(data, x, y)

@@ -13,7 +13,7 @@ from hitrack.routing import (ROUTE1, ROUTE2, Tracker, dyhit_forward, file_base_t
                              full_forward, make_tracker, oracle_base_tracker, route_decision,
                              route_head, route1_forward, router_score)
 from hitrack.tensor import count_macs
-from hitrack.weights import RouterWeights, init_weights
+from hitrack.weights import RouterWeights, init_weights, named_arrays
 
 
 def logit(p):
@@ -376,6 +376,39 @@ class TestTrackerGlue:
     def test_threshold_rejected_at_construction(self, toy_params, kind, threshold):
         with pytest.raises(DataError):
             make_tracker(kind, toy_params, threshold, base=oracle_base_tracker([(0, 0, 1, 1)], 0.0, 0))
+
+
+@pytest.fixture(scope="module")
+def tiny_params():
+    return init_weights(hitrack.make_config("tiny"), seed=7)
+
+
+class TestStepWritesNoInput:
+    """Kernels finish in place on buffers they allocate; a step must leave
+    the weights, the frame and the per-sequence template state untouched."""
+
+    @pytest.mark.parametrize("variant", ["toy", "tiny"])
+    @pytest.mark.parametrize("kind,threshold,route", [
+        ("route1", 0.5, ROUTE1), ("full", 0.5, ROUTE2), ("dyhit", 0.0, ROUTE1),
+        ("dyhit", 1.0, ROUTE2), ("dytracker", 0.0, ROUTE1), ("dytracker", 1.0, ROUTE2)])
+    def test_step_leaves_inputs_unchanged(self, request, variant, kind, threshold, route):
+        params = request.getfixturevalue(f"{variant}_params")
+        seq = runtime.gen_synthetic(seed=37, difficulty=1, length=3)
+        gt = [tuple(b) for b in seq.boxes]
+        tracker = make_tracker(kind, params, threshold, base=oracle_base_tracker(gt, 0.02, seed=3))
+        tracker.init(seq.frames[0], gt[0])
+
+        def watched(frame):
+            arrays = [a for _, a in named_arrays(params)]
+            return arrays + [frame, tracker.template, tracker.template_grid]
+
+        prev = gt[0]
+        for idx in (1, 2):
+            frame = seq.frames[idx]
+            before = [a.tobytes() for a in watched(frame)]
+            prev, decision, _ = tracker.step(frame, idx, prev)
+            assert (tracker.route if decision is None else decision.route) == route
+            assert [a.tobytes() for a in watched(frame)] == before
 
 
 class TestMacContract:

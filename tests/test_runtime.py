@@ -191,6 +191,29 @@ class TestCropMatchesReference:
             assert_same_bytes(patch, reference_crop(frame, box, 4.0, out_size)[0])
 
 
+class TestFrameMean:
+    """``_frame_mean`` sums with einsum, whose order NumPy does not document:
+    it must give the bytes of the ``mean`` it replaced."""
+
+    @staticmethod
+    def frames():
+        rng = np.random.default_rng(12)
+        for hw in ((480, 640), (120, 160), (37, 53), (1, 1)):
+            yield rng.uniform(0, 255, hw + (3,))
+            yield rng.normal(128.0, 60.0, hw + (3,))
+        yield from gen_synthetic(seed=14, difficulty=2, length=2, hw=(480, 640)).frames
+        yield from gen_synthetic(seed=15, difficulty=3, length=2).frames
+        yield rng.integers(0, 256, (96, 128, 3), dtype=np.uint8)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_reshape_mean(self, dtype):
+        for frame in self.frames():
+            got = runtime._frame_mean(frame, dtype)
+            want = frame.astype(dtype, copy=False).reshape(-1, 3).mean(axis=0)
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+
 class TestCropReadsOnlyWhatItNeeds:
     def test_in_frame_crop_reads_neither_outside_pixels_nor_mean(self):
         frame = checker_frame()

@@ -153,6 +153,134 @@ class TestHardswish:
         assert np.abs(num - tensor.hardswish_grad(xs)).max() < 1e-8
 
 
+# The plain expressions the in-place kernels replaced, kept as their oracles:
+# the kernels must give the same bytes, dtype included.
+def reference_softmax_rows(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_hardswish(x):
+    return x * np.clip(x + 3.0, 0.0, 6.0) / 6.0
+
+
+def reference_linear(x, w, b):
+    return tensor.matmul(x, w) + b
+
+
+def reference_affine(x, scale, shift):
+    return x * scale + shift
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+DTYPES = [np.float32, np.float64]
+
+
+class TestInPlaceKernelOracles:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_softmax_rows(self, dtype):
+        rng = np.random.default_rng(40)
+        for shape in [(1, 1), (3, 17), (2, 5, 64), (1, 256)]:
+            x = (rng.standard_normal(shape) * 20).astype(dtype)
+            want = reference_softmax_rows(x)
+            assert_same_bytes(tensor.softmax_rows(x), want)
+            alias = x.copy()
+            assert tensor.softmax_rows(alias, out=alias) is alias
+            assert_same_bytes(alias, want)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_hardswish(self, dtype):
+        rng = np.random.default_rng(41)
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, -3.0, 3.0, -2.9999, 1e-40, -1e-40]
+        x = np.concatenate([rng.standard_normal(300) * 5, special]).astype(dtype).reshape(31, 10)
+        with np.errstate(invalid="ignore"):  # -inf * 0 is NaN in both
+            want = reference_hardswish(x)
+            got = tensor.hardswish(x)
+            alias = x.copy()
+            assert tensor.hardswish(alias, out=alias) is alias
+        assert_same_bytes(got, want)
+        assert_same_bytes(alias, want)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_linear(self, dtype):
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((37, 24)).astype(dtype)
+        w = rng.standard_normal((24, 40)).astype(dtype)
+        b = rng.standard_normal(40).astype(dtype)
+        assert_same_bytes(tensor.linear(x, w, b), reference_linear(x, w, b))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_affine_tokens(self, dtype):
+        rng = np.random.default_rng(43)
+        x = (rng.standard_normal((50, 32)) * 100).astype(dtype)
+        scale, shift = (rng.standard_normal(32).astype(dtype) for _ in range(2))
+        assert_same_bytes(tensor.affine(x, scale, shift), reference_affine(x, scale, shift))
+
+    @pytest.mark.parametrize("dtypes", [(np.float32, np.float64), (np.float64, np.float32)])
+    def test_mixed_dtypes_promote_as_the_plain_expression(self, dtypes):
+        rng = np.random.default_rng(44)
+        lo, hi = dtypes
+        x = rng.standard_normal((9, 8)).astype(lo)
+        w = rng.standard_normal((8, 6)).astype(lo)
+        b = rng.standard_normal(6).astype(hi)
+        assert_same_bytes(tensor.linear(x, w, b), reference_linear(x, w, b))
+        scale, shift = rng.standard_normal(8).astype(lo), rng.standard_normal(8).astype(hi)
+        assert_same_bytes(tensor.affine(x, scale, shift), reference_affine(x, scale, shift))
+
+    def test_integer_input_promotes_as_the_plain_expression(self):
+        x = np.arange(-6, 6).reshape(3, 4)
+        for kernel, reference in ((tensor.softmax_rows, reference_softmax_rows),
+                                  (tensor.hardswish, reference_hardswish)):
+            want = reference(x)
+            assert_same_bytes(kernel(x), want)
+            out = np.empty(x.shape, dtype=want.dtype)
+            assert kernel(x, out=out) is out
+            assert_same_bytes(out, want)
+
+    def test_inputs_are_not_written(self):
+        rng = np.random.default_rng(45)
+        x = rng.standard_normal((6, 8)).astype(np.float32)
+        w = rng.standard_normal((8, 8)).astype(np.float32)
+        vec = rng.standard_normal(8).astype(np.float32)
+        args = (x, w, vec)
+        before = [a.copy() for a in args]
+        tensor.softmax_rows(x)
+        tensor.hardswish(x)
+        tensor.linear(x, w, vec)
+        tensor.affine(x, vec, vec)
+        tensor.affine(x.reshape(2, 3, 8), vec, vec)
+        for a, b in zip(args, before):
+            assert_same_bytes(a, b)
+
+    @pytest.mark.parametrize("kernel", [tensor.softmax_rows, tensor.hardswish])
+    def test_out_of_another_dtype_or_shape_rejected(self, kernel):
+        x = np.ones((3, 4), dtype=np.float32)
+        for out in (np.empty((3, 4), np.float64), np.empty((2, 3, 4), np.float32)):
+            with pytest.raises(ShapeError):
+                kernel(x, out=out)
+
+
+class TestAddInto:
+    def test_sums_into_the_buffer_when_dtype_kept(self):
+        rng = np.random.default_rng(46)
+        buf = rng.standard_normal((5, 4)).astype(np.float32)
+        other = rng.standard_normal(4).astype(np.float32)
+        want = other + buf
+        assert tensor.add_into(buf, other) is buf
+        assert_same_bytes(buf, want)
+
+    def test_promotes_without_writing(self):
+        buf = np.ones((2, 3), dtype=np.float32)
+        out = tensor.add_into(buf, np.full(3, 0.1))
+        assert out.dtype == np.float64 and out is not buf
+        assert_same_bytes(buf, np.ones((2, 3), dtype=np.float32))
+
+
 def reference_conv_transpose2d(x, kernel, stride, padding):
     """The earlier formulation: one [Cin, kh*kw*Cout] product over a transposed kernel copy."""
     kh, kw, cin, cout = kernel.shape
@@ -313,6 +441,25 @@ class TestConv2d:
                 for co in range(3):
                     expect[i, j, co] = (window * k[:, :, :, co]).sum()
         assert np.allclose(tensor.conv2d(x, k, 1, 1), expect, atol=1e-12)
+
+
+class TestConv2dMany:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_matches_one_conv2d_per_kernel(self, dtype):
+        rng = np.random.default_rng(47)
+        x = rng.standard_normal((6, 7, 5)).astype(dtype)
+        kernels = [rng.standard_normal((3, 3, 5, cout)).astype(dtype) for cout in (4, 1)]
+        with tensor.count_macs() as counter:
+            outs = tensor.conv2d_many(x, kernels, stride=1, padding=1)
+        with tensor.count_macs() as ref_counter:
+            expect = [tensor.conv2d(x, k, stride=1, padding=1) for k in kernels]
+        for got, want in zip(outs, expect):
+            assert_same_bytes(got, want)
+        assert counter.counts == ref_counter.counts
+
+    def test_kernels_of_different_extent_rejected(self):
+        with pytest.raises(ShapeError):
+            tensor.conv2d_many(np.zeros((4, 4, 2)), [np.zeros((3, 3, 2, 1)), np.zeros((1, 1, 2, 1))])
 
 
 class TestMacCounting:
