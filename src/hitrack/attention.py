@@ -6,10 +6,10 @@ products plus a per-head learned bias gathered from the position-encoding
 table; hardswish is applied to every head's attention output before the heads
 are concatenated and projected back to the token width.
 
-Shrink Attention reduces the token count 4x: queries come from the template
-and search grids independently subsampled 2x in each spatial direction (the
-two regions are never mixed by the subsampling), keys and values see all
-input tokens, V channels are doubled again (4 * key_dim per head) and the
+Shrink Attention reduces the token count 4x: queries are the input tokens
+subsampled by ``TokenLayout.subsample`` (each grid's even-index rows and
+columns; the two regions are never mixed), keys and values see all input
+tokens, V channels are doubled again (4 * key_dim per head) and the
 output projection widens the channels for the next stage. There is no
 residual across it since the token count changes.
 """
@@ -108,28 +108,11 @@ def mha_forward(tokens: np.ndarray, w: MhaWeights, bias: np.ndarray | None) -> n
     return _attend(tokens, tokens, w, bias)
 
 
-def subsample_tokens(tokens: np.ndarray, layout: TokenLayout) -> np.ndarray:
-    """Even-index 2x2 subsampling of each region, re-concatenated.
-
-    Template rows never read search tokens and vice versa.
-    """
-    hz, wz = layout.template_hw
-    hx, wx = layout.search_hw
-    if hz % 2 or wz % 2 or hx % 2 or wx % 2:
-        raise ShapeError(f"shrink attention needs even grid extents, got {layout}")
-    if tokens.shape[0] != layout.n_tokens:
-        raise ShapeError(f"{tokens.shape[0]} tokens do not fit layout {layout}")
-    c = tokens.shape[1]
-    tpl = tokens[:layout.n_template].reshape(hz, wz, c)[::2, ::2].reshape(-1, c)
-    srch = tokens[layout.n_template:].reshape(hx, wx, c)[::2, ::2].reshape(-1, c)
-    return np.concatenate([tpl, srch], axis=0)
-
-
 def shrink_attention(tokens: np.ndarray, layout: TokenLayout, w: SaWeights,
                      bias: np.ndarray | None) -> np.ndarray:
     """Downsampling attention: [T, C] -> [T/4, C_out]."""
     x = affine(tokens, w.affine.scale, w.affine.shift)
-    return _attend(subsample_tokens(x, layout), x, w, bias)
+    return _attend(layout.subsample(x), x, w, bias)
 
 
 def mlp_forward(tokens: np.ndarray, w: MlpWeights) -> np.ndarray:

@@ -79,17 +79,13 @@ def patch_embed(image: np.ndarray, ew: EmbedWeights) -> np.ndarray:
 
 def extract_search(tokens: np.ndarray, layout: TokenLayout) -> np.ndarray:
     """Search-region tokens reshaped to their spatial grid."""
-    if tokens.shape[0] != layout.n_tokens:
-        raise ShapeError(f"{tokens.shape[0]} tokens do not fit layout {layout}")
-    hx, wx = layout.search_hw
-    return tokens[layout.n_template:].reshape(hx, wx, tokens.shape[1])
+    return layout.split(tokens)[1]
 
 
 def global_vector(tokens: np.ndarray, layout: TokenLayout) -> np.ndarray:
-    """Arithmetic mean over the search-region tokens."""
-    if tokens.shape[0] != layout.n_tokens:
-        raise ShapeError(f"{tokens.shape[0]} tokens do not fit layout {layout}")
-    return tokens[layout.n_template:].mean(axis=0)
+    """Arithmetic mean over the search-region tokens, taken on their [N, C]
+    rows so the sum runs in token order."""
+    return layout.split(tokens)[1].reshape(layout.n_search, -1).mean(axis=0)
 
 
 def _layer_bias(attn_weights, index: np.ndarray) -> np.ndarray:
@@ -133,11 +129,10 @@ def stage1_forward(template_img: np.ndarray, search_img: np.ndarray,
     tpl = template_grid if template_grid is not None else embed_template(template_img, params)
     with mac_scope("embed"):
         srch = patch_embed(np.asarray(search_img, dtype=dt), params.embed)
-    c1 = cfg.channels[0]
-    tokens = np.concatenate([tpl.reshape(-1, c1), srch.reshape(-1, c1)], axis=0)
+    layout1 = geo.stages[0].layout
+    tokens = layout1.join(tpl, srch)
     with mac_scope("stage1"):
         tokens = _run_stage(tokens, params.stages[0], geo.stages[0])
-    layout1 = geo.stages[0].layout
     return Stage1State(
         tokens=tokens,
         s_max=extract_search(tokens, layout1),
@@ -153,7 +148,7 @@ def continue_forward(state: Stage1State, params: ModelParams) -> StageOutputs:
     def shrink(idx, tokens):
         sw = params.shrinks[idx]
         sg = geo.shrinks[idx]
-        return shrink_attention(tokens, sg.in_layout, sw, _layer_bias(sw, sg.bias_index))
+        return shrink_attention(tokens, sg.layout, sw, _layer_bias(sw, sg.bias_index))
 
     with mac_scope("sa1"):
         tokens = shrink(0, tokens)

@@ -24,7 +24,6 @@ _CONFIG_KEYS = {
     "template_size": int,
     "search_size": int,
     "key_dim": int,
-    "mlp_ratio": int,
     "tau_fg": float,
     "classify_every_n": int,
     "dtype": str,
@@ -287,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--difficulty", type=int, default=0)
     p.add_argument("--length", type=int, default=50)
-    p.add_argument("--size", type=_frame_size, default=(120, 160), help="frame size HxW")
+    p.add_argument("--size", type=_frame_size, default=(120, 160),
+                   help="frame size HxW, each side at least 32")
     p.add_argument("--blur", action="store_true")
     p.set_defaults(func=cmd_gen_synth)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import center_distance_xywh, iou_xywh
-from .config import BRIDGE_KERNEL, ModelConfig, geometry
+from .config import BRIDGE_KERNEL, MLP_RATIO, STAGE_BLOCKS, ModelConfig, geometry
 from .errors import DataError
 from .routing import make_tracker
 from .runtime import track_sequence
@@ -122,7 +122,7 @@ def _stage_cost(config: ModelConfig, stage: int) -> LayerCost:
     c = config.channels[stage]
     n = config.heads[stage]
     d = config.key_dim
-    r = config.mlp_ratio
+    r = MLP_RATIO
     rows, cols = geo.stages[stage].table_shape
     per_block_macs = (
         2 * t * c * n * d          # q, k projections
@@ -142,14 +142,14 @@ def _stage_cost(config: ModelConfig, stage: int) -> LayerCost:
         + c * r * c + r * c        # mlp w1, b1
         + r * c * c + c            # mlp w2, b2
     )
-    blocks = config.blocks[stage]
+    blocks = STAGE_BLOCKS[stage]
     return LayerCost(per_block_macs * blocks, per_block_params * blocks)
 
 
 def _shrink_cost(config: ModelConfig, idx: int) -> LayerCost:
     geo = geometry(config)
-    t_in = geo.shrinks[idx].in_layout.n_tokens
-    t_out = geo.shrinks[idx].out_layout.n_tokens
+    t_in = geo.shrinks[idx].layout.n_tokens
+    t_out = geo.stages[idx + 1].layout.n_tokens
     cin = config.channels[idx]
     cout = config.channels[idx + 1]
     n = config.heads[idx + 1]

@@ -6,104 +6,36 @@ the search block occupies rows [Hz, Hz+Hx) and columns [Wz, Wz+Wx), so every
 token has a unique (row, col) pair and the two blocks share no row or column
 index. Attention biases are learned per head, LeViT-style, and indexed by the
 absolute coordinate offsets (|dr|, |dc|) between token pairs.
+
+Coordinates are a plain [T, 2] integer array in the token order of a
+``config.TokenLayout``; Shrink Attention's query coordinates are
+``layout.subsample(coords)``, so even-index tokens keep their pre-subsampling
+coordinates and offsets against the full grid stay metric.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
 
 
-@dataclass(frozen=True)
-class CoordMap:
-    """Per-token (row, col) coordinates for a template+search token sequence.
-
-    Tokens are ordered template-first, each block row-major.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    template_hw: tuple[int, int]
-    search_hw: tuple[int, int]
-
-    @property
-    def n_tokens(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def n_template(self) -> int:
-        return self.template_hw[0] * self.template_hw[1]
+def dual_coords(layout) -> np.ndarray:
+    """[T, 2] (row, col) diagonal joint coordinates of a layout's tokens."""
+    tpl = np.moveaxis(np.indices(layout.template_hw), 0, -1)
+    srch = np.moveaxis(np.indices(layout.search_hw), 0, -1) + layout.template_hw
+    return layout.join(tpl, srch)
 
 
-def _block_coords(hw: tuple[int, int], row_off: int, col_off: int):
-    h, w = hw
-    rr, cc = np.meshgrid(np.arange(h) + row_off, np.arange(w) + col_off, indexing="ij")
-    return rr.reshape(-1), cc.reshape(-1)
+def bias_index(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """[Tq, Tk, 2] absolute offsets: entry (i, j) is (|ri-rj|, |ci-cj|) between
+    query coordinate i and key coordinate j."""
+    return np.abs(q[:, None] - k[None])
 
 
-def assign_dual_coords(template_hw, search_hw) -> CoordMap:
-    """Assign diagonal joint coordinates to the template and search token grids."""
-    template_hw = (int(template_hw[0]), int(template_hw[1]))
-    search_hw = (int(search_hw[0]), int(search_hw[1]))
-    if min(template_hw) <= 0 or min(search_hw) <= 0:
-        raise ShapeError(f"grid extents must be positive, got {template_hw} and {search_hw}")
-    tr, tc = _block_coords(template_hw, 0, 0)
-    sr, sc = _block_coords(search_hw, *template_hw)
-    return CoordMap(
-        rows=np.concatenate([tr, sr]),
-        cols=np.concatenate([tc, sc]),
-        template_hw=template_hw,
-        search_hw=search_hw,
-    )
-
-
-def subsample_coords(coords: CoordMap) -> CoordMap:
-    """Coordinates of the 2x2-subsampled grids, as used by Shrink Attention Q.
-
-    Even-index rows and columns of each block keep their pre-subsampling
-    coordinates, so offsets against the full grid stay metric.
-    """
-    hz, wz = coords.template_hw
-    hx, wx = coords.search_hw
-    if hz % 2 or wz % 2 or hx % 2 or wx % 2:
-        raise ShapeError(f"subsampling needs even grid extents, got {coords.template_hw} and {coords.search_hw}")
-    rows = coords.rows
-    cols = coords.cols
-    nz = coords.n_template
-
-    def pick(block_rows, block_cols, h, w):
-        rr = block_rows.reshape(h, w)[::2, ::2].reshape(-1)
-        cc = block_cols.reshape(h, w)[::2, ::2].reshape(-1)
-        return rr, cc
-
-    tr, tc = pick(rows[:nz], cols[:nz], hz, wz)
-    sr, sc = pick(rows[nz:], cols[nz:], hx, wx)
-    return CoordMap(
-        rows=np.concatenate([tr, sr]),
-        cols=np.concatenate([tc, sc]),
-        template_hw=(hz // 2, wz // 2),
-        search_hw=(hx // 2, wx // 2),
-    )
-
-
-def build_bias_index(coords: CoordMap, k_coords: CoordMap | None = None) -> np.ndarray:
-    """Index matrix of absolute offsets: entry (i, j) is (|ri-rj|, |ci-cj|).
-
-    With one argument the matrix is square over all tokens. For Shrink
-    Attention, pass the subsampled Q coordinates first and the full input
-    coordinates as ``k_coords``.
-    """
-    kc = coords if k_coords is None else k_coords
-    dr = np.abs(coords.rows[:, None] - kc.rows[None, :])
-    dc = np.abs(coords.cols[:, None] - kc.cols[None, :])
-    return np.stack([dr, dc], axis=-1)
-
-
-def table_shape(coords: CoordMap) -> tuple[int, int]:
-    """Minimal bias-table extents for every token pair of this coordinate map."""
-    return int(coords.rows.max()) + 1, int(coords.cols.max()) + 1
+def table_shape(coords: np.ndarray) -> tuple[int, int]:
+    """Minimal bias-table extents for every pair of these coordinates."""
+    rows, cols = coords.max(axis=0)
+    return int(rows) + 1, int(cols) + 1
 
 
 def gather_bias(table: np.ndarray, index: np.ndarray) -> np.ndarray:

@@ -235,18 +235,27 @@ def _draw_rect(frame, cx, cy, w, h, color, rng, jitter):
     return (float(x1), float(y1), float(x2 - x1), float(y2 - y1))
 
 
+MIN_SYNTH_SIDE = 32
+
+
 def gen_synthetic(seed: int, difficulty: int, length: int, hw=(120, 160),
                   blur: bool = False) -> SyntheticSequence:
     """Deterministic synthetic sequence; difficulty scales the three knobs:
 
     distractor count = difficulty, background clutter = 0.15 + 0.1*difficulty,
     motion amplitude = 2 + 2*difficulty pixels per frame.
+
+    Both frame sides must be at least ``MIN_SYNTH_SIDE`` pixels: the target
+    is at least 10 pixels on a side and distractors up to 1.2x larger, so
+    smaller frames cannot always hold them.
     """
     if length < 1:
         raise DataError(f"length must be >= 1, got {length}")
     if difficulty < 0:
         raise DataError(f"difficulty must be >= 0, got {difficulty}")
     h, w = int(hw[0]), int(hw[1])
+    if min(h, w) < MIN_SYNTH_SIDE:
+        raise DataError(f"synthetic frames need sides of at least {MIN_SYNTH_SIDE} pixels, got {h}x{w}")
     rng = np.random.default_rng(seed)
     n_distractors = int(difficulty)
     clutter = 0.15 + 0.1 * difficulty
@@ -380,9 +389,12 @@ def read_boxes(path):
             if len(parts) != 4:
                 raise DataError(f"{path}:{lineno}: expected 'x,y,w,h', got {line!r}")
             try:
-                out.append(tuple(float(p) for p in parts))
+                box = tuple(float(p) for p in parts)
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+            if not np.isfinite(box).all():
+                raise NumericError(f"{path}:{lineno}: non-finite box {line!r}")
+            out.append(box)
     if not out:
         raise DataError(f"{path}: no boxes")
     return out

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AffineParams, BlockWeights, MhaWeights, MlpWeights, SaWeights
-from .config import BRIDGE_KERNEL, ModelConfig, geometry
+from .config import BRIDGE_KERNEL, MLP_RATIO, STAGE_BLOCKS, ModelConfig, geometry
 from .errors import DataError, ShapeError
 
 MAGIC = b"HITW"
@@ -133,7 +133,7 @@ def _build_params(config: ModelConfig, make) -> ModelParams:
     for s, c in enumerate(config.channels):
         n_heads = config.heads[s]
         blocks = []
-        for _ in range(config.blocks[s]):
+        for _ in range(STAGE_BLOCKS[s]):
             attn = MhaWeights(
                 wq=make((c, n_heads * d), c, dt),
                 wk=make((c, n_heads * d), c, dt),
@@ -143,7 +143,7 @@ def _build_params(config: ModelConfig, make) -> ModelParams:
                 n_heads=n_heads,
                 key_dim=d,
             )
-            hidden = config.mlp_ratio * c
+            hidden = MLP_RATIO * c
             mlp = MlpWeights(
                 w1=make((c, hidden), c, dt), b1=zeros(hidden),
                 w2=make((hidden, c), hidden, dt), b2=zeros(c),

@@ -54,32 +54,32 @@ def test_c02_position_encoding():
     for variant in ("base", "small", "tiny", "toy"):
         cfg = hitrack.make_config(variant)
         layout = cfg.layout(0)
-        coords = posenc.assign_dual_coords(layout.template_hw, layout.search_hw)
-        pairs = set(zip(coords.rows.tolist(), coords.cols.tolist()))
+        coords = posenc.dual_coords(layout)
+        pairs = set(map(tuple, coords.tolist()))
         assert len(pairs) == layout.n_tokens, f"{variant}: coordinate collision"
-    coords = posenc.assign_dual_coords((2, 2), (4, 4))
-    index = posenc.build_bias_index(coords)
+    coords = posenc.dual_coords(hitrack.TokenLayout((2, 2), (4, 4)))
+    index = posenc.bias_index(coords, coords)
     rng = np.random.default_rng(102)
     table = rng.standard_normal((3,) + posenc.table_shape(coords))
     gathered = posenc.gather_bias(table, index)
-    n = coords.n_tokens
+    n = len(coords)
     for h in range(3):
         for i in range(n):
             for j in range(n):
-                dr = abs(int(coords.rows[i]) - int(coords.rows[j]))
-                dc = abs(int(coords.cols[i]) - int(coords.cols[j]))
+                dr = abs(int(coords[i, 0]) - int(coords[j, 0]))
+                dc = abs(int(coords[i, 1]) - int(coords[j, 1]))
                 assert gathered[h, i, j] == table[h, dr, dc]
     ok(2, "diagonal coordinates collide on no variant; gather equals the brute-force pair oracle bit-exactly")
 
 
 def test_c03_shrink_attention(toy_cfg):
-    from hitrack.attention import AffineParams, SaWeights, shrink_attention, subsample_tokens
+    from hitrack.attention import AffineParams, SaWeights, shrink_attention
     from hitrack.config import TokenLayout, geometry
 
     # token count reduced exactly 4x through the real model geometry
     geo = geometry(toy_cfg)
-    assert geo.shrinks[0].out_layout.n_tokens * 4 == geo.shrinks[0].in_layout.n_tokens
-    assert geo.shrinks[1].out_layout.n_tokens * 4 == geo.shrinks[1].in_layout.n_tokens
+    assert geo.stages[1].layout.n_tokens * 4 == geo.shrinks[0].layout.n_tokens
+    assert geo.stages[2].layout.n_tokens * 4 == geo.shrinks[1].layout.n_tokens
 
     layout = TokenLayout((4, 4), (8, 8))
     rng = np.random.default_rng(103)
@@ -94,7 +94,7 @@ def test_c03_shrink_attention(toy_cfg):
 
     # even-index oracle on marker values
     markers = np.arange(80, dtype=np.float64).reshape(80, 1)
-    kept = subsample_tokens(markers, layout)[:, 0].astype(int)
+    kept = layout.subsample(markers)[:, 0].astype(int)
     tpl_expect = np.arange(16).reshape(4, 4)[::2, ::2].reshape(-1)
     srch_expect = (np.arange(64).reshape(8, 8)[::2, ::2] + 16).reshape(-1)
     assert np.array_equal(kept, np.concatenate([tpl_expect, srch_expect]))
@@ -102,7 +102,7 @@ def test_c03_shrink_attention(toy_cfg):
     # no cross-region Q contamination
     zeroed = markers.copy()
     zeroed[16:] = 0.0
-    assert np.array_equal(subsample_tokens(markers, layout)[:4], subsample_tokens(zeroed, layout)[:4])
+    assert np.array_equal(layout.subsample(markers)[:4], layout.subsample(zeroed)[:4])
     ok(3, "token count /4 exactly; subsampled Q positions match the even-index oracle; regions never mix")
 
 

@@ -6,7 +6,7 @@ import pytest
 from hitrack import posenc, tensor
 from hitrack.attention import (AffineParams, BlockWeights, MhaWeights, MlpWeights,
                                SaWeights, mha_forward, mlp_forward, shrink_attention,
-                               subsample_tokens, transformer_block)
+                               transformer_block)
 from hitrack.config import TokenLayout
 from hitrack.errors import ShapeError
 
@@ -138,7 +138,7 @@ class TestShrinkAttention:
         # position-marker values: token i carries value i, so Q rows reveal
         # exactly which tokens were kept
         tokens = np.arange(80, dtype=np.float64).reshape(80, 1)
-        kept = subsample_tokens(tokens, LAYOUT)[:, 0].astype(int)
+        kept = LAYOUT.subsample(tokens)[:, 0].astype(int)
         tpl = np.arange(16).reshape(4, 4)[::2, ::2].reshape(-1)
         srch = (np.arange(64).reshape(8, 8)[::2, ::2] + 16).reshape(-1)
         assert np.array_equal(kept, np.concatenate([tpl, srch]))
@@ -148,18 +148,18 @@ class TestShrinkAttention:
         x = rng.standard_normal((80, 6))
         zeroed = x.copy()
         zeroed[LAYOUT.n_template:] = 0.0
-        q_full = subsample_tokens(x, LAYOUT)
-        q_zeroed = subsample_tokens(zeroed, LAYOUT)
+        q_full = LAYOUT.subsample(x)
+        q_zeroed = LAYOUT.subsample(zeroed)
         assert np.array_equal(q_full[:4], q_zeroed[:4])  # template Q rows unchanged
 
     def test_one_hot_template_token_is_isolated_in_q(self):
         x = np.zeros((80, 6))
         x[5, 2] = 1.0  # template token (1, 1), odd indices: dropped from Q
-        q = subsample_tokens(x, LAYOUT)
+        q = LAYOUT.subsample(x)
         assert not q.any()
         x2 = np.zeros((80, 6))
         x2[10, 2] = 1.0  # template token (2, 2), even: kept at Q row 3
-        q2 = subsample_tokens(x2, LAYOUT)
+        q2 = LAYOUT.subsample(x2)
         assert q2[3, 2] == 1.0 and q2.sum() == 1.0
 
     def test_odd_extents_rejected(self):
@@ -173,14 +173,14 @@ class TestShrinkAttention:
         rng = np.random.default_rng(8)
         w = make_sa(rng, cin=6, cout=10, n_heads=2, d=3)
         x = rng.standard_normal((80, 6))
-        coords = posenc.assign_dual_coords((4, 4), (8, 8))
-        idx = posenc.build_bias_index(posenc.subsample_coords(coords), coords)
+        coords = posenc.dual_coords(LAYOUT)
+        idx = posenc.bias_index(LAYOUT.subsample(coords), coords)
         table = rng.standard_normal((2,) + posenc.table_shape(coords))
         bias = posenc.gather_bias(table, idx)
         out = shrink_attention(x, LAYOUT, w, bias)
         # stepwise: affine, subsample q, per-head attention, concat, project
         a = x * w.affine.scale + w.affine.shift
-        q = tensor.matmul(subsample_tokens(a, LAYOUT), w.wq)
+        q = tensor.matmul(LAYOUT.subsample(a), w.wq)
         k = tensor.matmul(a, w.wk)
         v = tensor.matmul(a, w.wv)
         heads = []
@@ -198,7 +198,7 @@ def stepwise_shrink(x, layout, w, bias):
     """Per-head loop oracle for shrink_attention, in the dtype of its inputs."""
     d = w.key_dim
     a = x * w.affine.scale + w.affine.shift
-    q = tensor.matmul(subsample_tokens(a, layout), w.wq)
+    q = tensor.matmul(layout.subsample(a), w.wq)
     k = tensor.matmul(a, w.wk)
     v = tensor.matmul(a, w.wv)
     heads = []
@@ -216,8 +216,8 @@ class TestShrinkAttentionFloat32:
         rng = np.random.default_rng(42)
         w = make_sa(rng, cin=16, cout=24, n_heads=3, d=8, dtype=np.float32)
         x = rng.standard_normal((80, 16)).astype(np.float32)
-        coords = posenc.assign_dual_coords((4, 4), (8, 8))
-        idx = posenc.build_bias_index(posenc.subsample_coords(coords), coords)
+        coords = posenc.dual_coords(LAYOUT)
+        idx = posenc.bias_index(LAYOUT.subsample(coords), coords)
         table = rng.standard_normal((3,) + posenc.table_shape(coords)).astype(np.float32)
         bias = posenc.gather_bias(table, idx)
         out = shrink_attention(x, LAYOUT, w, bias)

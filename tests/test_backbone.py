@@ -83,7 +83,7 @@ class TestLayoutChain:
                 assert lay.search_hw[0] == cfg.search_size // 16 // (2 ** s)
             geo = geometry(cfg)
             for s in range(2):
-                assert geo.shrinks[s].out_layout.n_tokens * 4 == geo.shrinks[s].in_layout.n_tokens
+                assert geo.stages[s + 1].layout.n_tokens * 4 == geo.shrinks[s].layout.n_tokens
 
     def test_input_sizes_must_divide_64(self):
         with pytest.raises(ShapeError):

@@ -233,7 +233,7 @@ class TestConfigFile:
         assert main(["flops", "--config", str(cfg)]) == cli.DATA_ERROR
 
     @pytest.mark.parametrize("line", ["arrangement = vertical", "pe_mode = absolute",
-                                      "bridge_kernel = 2"])
+                                      "bridge_kernel = 2", "mlp_ratio = 2"])
     def test_ablation_switch_keys_are_unknown(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"variant = toy\n{line}\n")
@@ -294,6 +294,33 @@ class TestExitCodes:
         assert main(["gen-synth", "--out", str(tmp_path / "seq"), "--size", "48x64",
                      "--length", "1"]) == 0
         assert runtime.load_frames(tmp_path / "seq")[0].shape == (48, 64, 3)
+
+    @pytest.mark.parametrize("size", ["0x0", "8x8", "31x64", "64x31"])
+    def test_synth_side_below_minimum_is_3(self, tmp_path, capsys, size):
+        out = tmp_path / "seq"
+        assert main(["gen-synth", "--out", str(out), "--size", size, "--length", "2"]) == cli.DATA_ERROR
+        assert "at least 32" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("difficulty", range(4))
+    def test_minimum_synth_side_runs(self, tmp_path, difficulty):
+        out = tmp_path / "seq"
+        assert main(["gen-synth", "--out", str(out), "--size", "32x32", "--seed", "5",
+                     "--difficulty", str(difficulty), "--length", "20"]) == 0
+        assert runtime.load_frames(out)[0].shape == (32, 32, 3)
+
+    @pytest.mark.parametrize("line", ["nan,2,3,4", "1,2,inf,4", "1,-inf,3,4"])
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_non_finite_eval_box_is_4(self, tmp_path, capsys, side, line):
+        good = tmp_path / "good.txt"
+        good.write_text("1,2,3,4\n1,2,3,4\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"1,2,3,4\n{line}\n")
+        files = {"pred": good, "gt": good, side: bad}
+        assert main(["eval", "--pred", str(files["pred"]), "--gt", str(files["gt"])]) == cli.NUMERIC_ERROR
+        captured = capsys.readouterr()
+        assert "bad.txt:2" in captured.err
+        assert "AO" not in captured.out
 
     @pytest.mark.parametrize("header", [b"P6\nabc 2\n255\n", b"P6\n4"])
     def test_malformed_ppm_header_is_3(self, tmp_path, capsys, header):

@@ -373,6 +373,14 @@ class TestGenSynthetic:
         with pytest.raises(DataError):
             gen_synthetic(seed=0, difficulty=0, length=0)
 
+    @pytest.mark.parametrize("hw", [(32, 32), (32, 1000), (1000, 32)])
+    def test_minimum_side_fits_every_difficulty(self, hw):
+        for seed in range(10):
+            for difficulty in range(4):
+                seq = gen_synthetic(seed=seed, difficulty=difficulty, length=20, hw=hw)
+                assert (seq.boxes[:, 0] + seq.boxes[:, 2] <= hw[1]).all()
+                assert (seq.boxes[:, 1] + seq.boxes[:, 3] <= hw[0]).all()
+
 
 class TestSequenceIo:
     def test_ppm_round_trip(self, tmp_path):
