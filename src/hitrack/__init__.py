@@ -8,17 +8,15 @@ Ships with OPE metrics, closed-form cost accounting and a CLI harness.
 """
 
 from .config import ModelConfig, TokenLayout, make_config
-from .backbone import StageOutputs, backbone_forward, stage1_forward
+from .backbone import stage1_forward
 from .fusion import BoxPrediction, bridge, corner_head, soft_argmax
 from .routing import (
     RouteDecision,
     Tracker,
-    dyhit_forward,
     file_base_tracker,
-    full_forward,
+    forward,
     make_tracker,
     oracle_base_tracker,
-    route1_forward,
     router_score,
 )
 from .objectives import fit_router, giou, giou_with_grad, grad_check, hit_loss
@@ -29,12 +27,11 @@ from .weights import init_weights, load_weights, save_weights
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxPrediction", "CostReport", "ModelConfig", "RouteDecision", "StageOutputs",
-    "TokenLayout", "Tracker", "backbone_forward", "bridge", "corner_head",
-    "crop_resize", "dyhit_forward", "evaluate_trace", "file_base_tracker",
-    "fit_router", "flop_account", "full_forward", "gen_synthetic", "giou",
-    "giou_with_grad", "grad_check", "hit_loss", "init_weights", "latency_bench",
-    "load_weights", "make_config", "make_tracker", "map_box_to_frame",
-    "oracle_base_tracker", "route1_forward", "router_score", "save_weights",
+    "BoxPrediction", "CostReport", "ModelConfig", "RouteDecision", "TokenLayout",
+    "Tracker", "bridge", "corner_head", "crop_resize", "evaluate_trace",
+    "file_base_tracker", "fit_router", "flop_account", "forward", "gen_synthetic",
+    "giou", "giou_with_grad", "grad_check", "hit_loss", "init_weights",
+    "latency_bench", "load_weights", "make_config", "make_tracker",
+    "map_box_to_frame", "oracle_base_tracker", "router_score", "save_weights",
     "soft_argmax", "stage1_forward", "threshold_sweep", "track_sequence",
 ]

@@ -11,9 +11,10 @@ is recorded as the fine-resolution feature map ``s_max`` together with its
 mean ``g1``; stages 2 and 3 produce ``s_mid``, ``s_min`` and the final global
 vector ``g`` (mean over the stage-3 search tokens).
 
-The forward is split into ``stage1_forward`` and ``continue_forward`` so the
-dynamic router can stop after stage 1 without touching the rest of the
-network; ``backbone_forward`` composes the two.
+The forward is split so the dynamic router can stop after stage 1 without
+touching the rest of the network: ``stage1_forward`` runs the search embed
+and stage 1 on the template's ``embed_template`` grid (computed once per
+sequence), and ``continue_forward`` returns stages 2-3's ``(s_mid, s_min, g)``.
 """
 from __future__ import annotations
 
@@ -43,16 +44,6 @@ class Stage1State:
     tokens: np.ndarray      # [N1, C1] stage-1 output (S1)
     s_max: np.ndarray       # [Hx/16, Wx/16, C1] search slice of S1
     g1: np.ndarray          # [C1] mean over the stage-1 search tokens
-
-
-@dataclass(eq=False)
-class StageOutputs:
-    s_max: np.ndarray       # [Hx/16, Wx/16, C1]
-    s_mid: np.ndarray       # [Hx/32, Wx/32, C2]
-    s_min: np.ndarray       # [Hx/64, Wx/64, C3]
-    g: np.ndarray           # [C3] mean over the stage-3 search tokens
-    g1: np.ndarray          # [C1]
-    s1: np.ndarray          # [N1, C1] raw stage-1 tokens
 
 
 def patch_embed(image: np.ndarray, ew: EmbedWeights) -> np.ndarray:
@@ -118,19 +109,18 @@ def embed_template(template_img: np.ndarray, params: ModelParams) -> np.ndarray:
         return patch_embed(np.asarray(template_img, dtype=cfg.np_dtype), params.embed)
 
 
-def stage1_forward(template_img: np.ndarray, search_img: np.ndarray,
-                   params: ModelParams, template_grid: np.ndarray | None = None) -> Stage1State:
+def stage1_forward(template_grid: np.ndarray, search_img: np.ndarray,
+                   params: ModelParams) -> Stage1State:
+    """Search embed and stage 1 on top of the template's ``embed_template`` grid."""
     cfg = params.config
     if search_img.shape[:2] != (cfg.search_size, cfg.search_size):
         raise ShapeError(
             f"search is {search_img.shape[:2]}, config expects {cfg.search_size}x{cfg.search_size}")
     geo = geometry(cfg)
-    dt = cfg.np_dtype
-    tpl = template_grid if template_grid is not None else embed_template(template_img, params)
     with mac_scope("embed"):
-        srch = patch_embed(np.asarray(search_img, dtype=dt), params.embed)
+        srch = patch_embed(np.asarray(search_img, dtype=cfg.np_dtype), params.embed)
     layout1 = geo.stages[0].layout
-    tokens = layout1.join(tpl, srch)
+    tokens = layout1.join(template_grid, srch)
     with mac_scope("stage1"):
         tokens = _run_stage(tokens, params.stages[0], geo.stages[0])
     return Stage1State(
@@ -140,8 +130,11 @@ def stage1_forward(template_img: np.ndarray, search_img: np.ndarray,
     )
 
 
-def continue_forward(state: Stage1State, params: ModelParams) -> StageOutputs:
-    """Stages 2 and 3 (with their shrink layers) on top of a stage-1 state."""
+def continue_forward(state: Stage1State,
+                     params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stages 2 and 3 (with their shrink layers) on top of a stage-1 state:
+    ``(s_mid, s_min, g)``, the search maps of stages 2 and 3 and the mean over
+    the stage-3 search tokens."""
     geo = geometry(params.config)
     tokens = state.tokens
 
@@ -160,16 +153,4 @@ def continue_forward(state: Stage1State, params: ModelParams) -> StageOutputs:
     with mac_scope("stage3"):
         tokens = _run_stage(tokens, params.stages[2], geo.stages[2])
     layout3 = geo.stages[2].layout
-    return StageOutputs(
-        s_max=state.s_max,
-        s_mid=s_mid,
-        s_min=extract_search(tokens, layout3),
-        g=global_vector(tokens, layout3),
-        g1=state.g1,
-        s1=state.tokens,
-    )
-
-
-def backbone_forward(template_img: np.ndarray, search_img: np.ndarray,
-                     params: ModelParams) -> StageOutputs:
-    return continue_forward(stage1_forward(template_img, search_img, params), params)
+    return s_mid, extract_search(tokens, layout3), global_vector(tokens, layout3)

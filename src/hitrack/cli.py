@@ -73,11 +73,10 @@ def _resolve(args, file_values, key, default):
     return file_values.get(key, default)
 
 
-def _load_params(args, cfg):
+def _load_params(args, cfg, file_values):
     if getattr(args, "weights", None):
         return weights.load_weights(args.weights, cfg)
-    seed = getattr(args, "seed", None)
-    return weights.init_weights(cfg, 0 if seed is None else seed)
+    return weights.init_weights(cfg, _resolve(args, file_values, "seed", 0))
 
 
 def _add_model_args(p):
@@ -145,16 +144,12 @@ def cmd_gen_synth(args):
 def cmd_infer(args):
     file_values = read_config_file(args.config) if args.config else {}
     cfg = _build_config(args, file_values)
-    params = _load_params(args, cfg)
+    params = _load_params(args, cfg, file_values)
     template = runtime.read_ppm(args.template)
     search = runtime.read_ppm(args.search)
-    threshold = _resolve(args, file_values, "threshold", 0.5)
-    if args.route == "route1":
-        pred, decision = routing.route1_forward(template, search, params), None
-    elif args.route == "full":
-        pred, decision = routing.full_forward(template, search, params), None
-    else:
-        pred, decision = routing.dyhit_forward(template, search, params, threshold)
+    route = {"auto": None, "route1": routing.ROUTE1, "full": routing.ROUTE2}[args.route]
+    pred, decision = routing.forward(template, search, params, route,
+                                     _resolve(args, file_values, "threshold", 0.5))
     x1, y1, x2, y2 = pred.corners
     s = cfg.search_size
     print(f"corners_norm: {x1:.6f},{y1:.6f},{x2:.6f},{y2:.6f}")
@@ -177,7 +172,7 @@ def _make_tracker(args, cfg, params, file_values):
 def cmd_track(args):
     file_values = read_config_file(args.config) if args.config else {}
     cfg = _build_config(args, file_values)
-    params = _load_params(args, cfg)
+    params = _load_params(args, cfg, file_values)
     frames, gt = _load_sequence(args, file_values)
     init_box = args.init_box or gt[0]
     tracker = _make_tracker(args, cfg, params, file_values)
@@ -212,7 +207,7 @@ def cmd_eval(args):
 def cmd_sweep(args):
     file_values = read_config_file(args.config) if args.config else {}
     cfg = _build_config(args, file_values)
-    params = _load_params(args, cfg)
+    params = _load_params(args, cfg, file_values)
     sequences = [runtime.gen_synthetic(*spec) for spec in args.synth]
     rows = evalbench.threshold_sweep(args.grid, sequences, params)
     csv = evalbench.sweep_csv(rows)
@@ -227,7 +222,7 @@ def cmd_sweep(args):
 def cmd_bench(args):
     file_values = read_config_file(args.config) if args.config else {}
     cfg = _build_config(args, file_values)
-    params = _load_params(args, cfg)
+    params = _load_params(args, cfg, file_values)
     frames, gt = _load_sequence(args, file_values)
     tracker = _make_tracker(args, cfg, params, file_values)
     stats = evalbench.latency_bench(tracker, frames, gt[0], args.warmup, args.reps)

@@ -10,13 +10,17 @@ always routes full under the strict comparisons below).
 Dispatch (threshold T): F > T runs the fast route, Head1 on (s_max, g1),
 and the rest of the network is never executed; F <= T runs stages 2-3, the
 bridge and Head2. The tie F == T deliberately takes the full route.
-``route_head`` is the one place that maps a route to its head.
+``route_head`` is the one place that maps a route to its head, and
+``_check_threshold`` the one place that checks T.
 
-``Tracker`` runs that dispatch on a sequence, with the route fixed (the
-``route1`` and ``full`` kinds) or chosen by the router (``dyhit``). The same
-decision gates an arbitrary base tracker (``dytracker``): easy frames are
-answered by the fast route, hard frames are re-predicted by the base tracker
-from the raw frame (fast-route features are never fed to it).
+``forward`` runs one template/search pair and ``Tracker`` a sequence. Both
+take a fixed ``route`` (ROUTE1 or ROUTE2; the router never runs) or
+``route=None`` (the router decides at the threshold). The same decision
+gates an arbitrary base tracker (``dytracker``): easy frames are answered by
+the fast route, hard frames are re-predicted by the base tracker from the
+raw frame (fast-route features are never fed to it). ``ReplayBaseTracker``
+answers frame i with the i-th stored box: an external tracker's output or
+jittered ground truth.
 """
 from __future__ import annotations
 
@@ -75,12 +79,25 @@ def router_score(s_max_feat: np.ndarray, w: RouterWeights):
     return scores.reshape(h, wd), f, fallback
 
 
-def route_decision(s_max_feat: np.ndarray, w: RouterWeights, threshold: float) -> RouteDecision:
+def _check_threshold(threshold) -> float:
+    """The scene threshold T as a float; anything outside [0, 1], NaN
+    included, is a DataError."""
+    threshold = float(threshold)
     if not 0.0 <= threshold <= 1.0:
         raise DataError(f"threshold must be in [0, 1], got {threshold}")
+    return threshold
+
+
+def _check_route(route) -> None:
+    if route not in (None, ROUTE1, ROUTE2):
+        raise DataError(f"unknown route {route!r}")
+
+
+def route_decision(s_max_feat: np.ndarray, w: RouterWeights, threshold: float) -> RouteDecision:
+    threshold = _check_threshold(threshold)
     scores, f, fallback = router_score(s_max_feat, w)
     route = ROUTE1 if f > threshold else ROUTE2
-    return RouteDecision(scores, f, float(threshold), route, fallback)
+    return RouteDecision(scores, f, threshold, route, fallback)
 
 
 def route_head(state: Stage1State, params: ModelParams, route: str) -> BoxPrediction:
@@ -88,41 +105,37 @@ def route_head(state: Stage1State, params: ModelParams, route: str) -> BoxPredic
     bridge and Head2."""
     if route == ROUTE1:
         return corner_head(state.s_max, state.g1, params.head1, scope="head1")
-    outs = continue_forward(state, params)
-    fused = bridge(outs.s_max, outs.s_mid, outs.s_min, params.bridge)
-    return corner_head(fused, outs.g, params.head2, scope="head2")
+    s_mid, s_min, g = continue_forward(state, params)
+    return corner_head(bridge(state.s_max, s_mid, s_min, params.bridge), g, params.head2,
+                       scope="head2")
 
 
-def route1_forward(template_img, search_img, params: ModelParams) -> BoxPrediction:
-    """Standalone fast route: stage 1 + Head1, no router involved."""
-    return route_head(stage1_forward(template_img, search_img, params), params, ROUTE1)
+def forward(template_img, search_img, params: ModelParams, route: str | None = None,
+            threshold: float = 0.5) -> tuple[BoxPrediction, RouteDecision | None]:
+    """One template/search pair: (prediction, decision).
 
-
-def full_forward(template_img, search_img, params: ModelParams) -> BoxPrediction:
-    """The plain static tracker: all stages, bridge, Head2, no router."""
-    return route_head(stage1_forward(template_img, search_img, params), params, ROUTE2)
-
-
-def dyhit_forward(template_img, search_img, params: ModelParams,
-                  threshold: float) -> tuple[BoxPrediction, RouteDecision]:
-    """Early-exit dispatch on one image pair."""
-    state = stage1_forward(template_img, search_img, params)
-    decision = route_decision(state.s_max, params.router, threshold)
-    return route_head(state, params, decision.route), decision
+    A fixed ``route`` answers from that route and the decision is None;
+    ``route=None`` lets the router decide at ``threshold``.
+    """
+    _check_route(route)
+    threshold = _check_threshold(threshold)
+    state = stage1_forward(embed_template(template_img, params), search_img, params)
+    decision = None
+    if route is None:
+        decision = route_decision(state.s_max, params.router, threshold)
+        route = decision.route
+    return route_head(state, params, route), decision
 
 
 # ---------------------------------------------------------------------------
 # Base-tracker handles for the training-free gating wrapper.
 
-class OracleBaseTracker:
-    """Test double for a high-performance tracker: ground truth plus seeded
-    Gaussian jitter on center and size. Noise is keyed by (seed, frame index)
-    so predictions do not depend on which frames were routed to it."""
+class ReplayBaseTracker:
+    """Answers frame i with the i-th of a list of (x, y, w, h) boxes."""
 
-    def __init__(self, gt_boxes, noise_scale: float, seed: int):
-        self.gt = [tuple(float(v) for v in b) for b in gt_boxes]
-        self.noise = float(noise_scale)
-        self.seed = int(seed)
+    def __init__(self, boxes, source: str):
+        self.boxes = boxes
+        self.source = source
         self._ready = False
 
     def init(self, frame, box) -> None:
@@ -131,47 +144,37 @@ class OracleBaseTracker:
     def predict(self, frame_index: int, frame, prev_box):
         if not self._ready:
             raise DataError("base tracker used before init")
-        if not 0 <= frame_index < len(self.gt):
-            raise DataError(f"no ground truth for frame index {frame_index}")
-        x, y, w, h = self.gt[frame_index]
-        if self.noise == 0.0:
-            return (x, y, w, h)
-        rng = np.random.default_rng((self.seed, frame_index))
-        n = rng.standard_normal(4)
-        cx = x + w / 2.0 + self.noise * w * n[0]
-        cy = y + h / 2.0 + self.noise * h * n[1]
-        nw = max(w * (1.0 + self.noise * n[2]), 1e-6)
-        nh = max(h * (1.0 + self.noise * n[3]), 1e-6)
-        return (cx - nw / 2.0, cy - nh / 2.0, nw, nh)
-
-
-def oracle_base_tracker(gt_boxes, noise_scale: float, seed: int) -> OracleBaseTracker:
-    return OracleBaseTracker(gt_boxes, noise_scale, seed)
-
-
-class FileBaseTracker:
-    """Replays per-frame boxes precomputed by any external tracker."""
-
-    def __init__(self, path):
-        self.path = path
-        self.boxes = runtime.read_boxes(path)
-        self._ready = False
-
-    def init(self, frame, box) -> None:
-        self._ready = True
-
-    def predict(self, frame_index: int, frame, prev_box):
-        if not self._ready:
-            raise DataError("base tracker used before init")
-        if frame_index >= len(self.boxes):
-            raise DataError(
-                f"{self.path}: no stored box for frame {frame_index + 1} "
-                f"(file has {len(self.boxes)} lines)")
+        if not 0 <= frame_index < len(self.boxes):
+            raise DataError(f"{self.source}: no stored box for frame {frame_index + 1} "
+                            f"({len(self.boxes)} boxes)")
         return self.boxes[frame_index]
 
 
-def file_base_tracker(path) -> FileBaseTracker:
-    return FileBaseTracker(path)
+def _jitter(box, noise: float, key) -> tuple:
+    x, y, w, h = box
+    n = np.random.default_rng(key).standard_normal(4)
+    cx = x + w / 2.0 + noise * w * n[0]
+    cy = y + h / 2.0 + noise * h * n[1]
+    nw = max(w * (1.0 + noise * n[2]), 1e-6)
+    nh = max(h * (1.0 + noise * n[3]), 1e-6)
+    return (cx - nw / 2.0, cy - nh / 2.0, nw, nh)
+
+
+def oracle_base_tracker(gt_boxes, noise_scale: float, seed: int) -> ReplayBaseTracker:
+    """Test double for a high-performance tracker: ground truth plus seeded
+    Gaussian jitter on center and size. Frame i's noise is drawn from
+    ``default_rng((seed, i))``, so a box does not depend on which frames
+    were routed to the tracker."""
+    boxes = [tuple(float(v) for v in b) for b in gt_boxes]
+    noise = float(noise_scale)
+    if noise != 0.0:
+        boxes = [_jitter(b, noise, (int(seed), i)) for i, b in enumerate(boxes)]
+    return ReplayBaseTracker(boxes, "ground truth")
+
+
+def file_base_tracker(path) -> ReplayBaseTracker:
+    """Replays per-frame boxes precomputed by any external tracker."""
+    return ReplayBaseTracker(runtime.read_boxes(path), str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +214,20 @@ class Tracker:
 
     def __init__(self, params: ModelParams, threshold: float = 0.5, route: str | None = None,
                  base=None, route1_override=None):
-        if route not in (None, ROUTE1, ROUTE2):
-            raise DataError(f"unknown route {route!r}")
-        threshold = float(threshold)
-        if not 0.0 <= threshold <= 1.0:
-            raise DataError(f"threshold must be in [0, 1], got {threshold}")
+        _check_route(route)
         self.params = params
-        self.threshold = threshold
+        self.threshold = _check_threshold(threshold)
         self.route = route
         self.base = base
         self.route1_override = route1_override
-        self.template = None
         self.template_grid = None  # template embed is fixed per sequence
         self._last: RouteDecision | None = None
         self._steps = 0
 
     def init(self, frame, box) -> None:
         cfg = self.params.config
-        self.template, _ = runtime.crop_resize(frame, box, TEMPLATE_FACTOR, cfg.template_size)
-        self.template_grid = embed_template(self.template, self.params)
+        template, _ = runtime.crop_resize(frame, box, TEMPLATE_FACTOR, cfg.template_size)
+        self.template_grid = embed_template(template, self.params)
         self._last = None
         self._steps = 0
         for helper in (self.base, self.route1_override):
@@ -242,7 +240,7 @@ class Tracker:
         patch, mapping = runtime.crop_resize(frame, crop_reference(prev_box), SEARCH_FACTOR,
                                              params.config.search_size)
         t0 = time.perf_counter()
-        state = stage1_forward(self.template, patch, params, self.template_grid)
+        state = stage1_forward(self.template_grid, patch, params)
         decision = None
         route = self.route
         if route is None:

@@ -74,6 +74,8 @@ def crop_resize(frame: np.ndarray, box_xywh, factor: float, out_size: int):
     frame = np.asarray(frame)
     if frame.ndim != 3 or frame.shape[2] != 3:
         raise ShapeError(f"frames are HxWx3, got {frame.shape}")
+    if frame.size == 0:
+        raise ShapeError(f"cannot crop an empty {frame.shape[0]}x{frame.shape[1]} frame")
     x, y, w, h = (float(v) for v in box_xywh)
     if not np.isfinite((x, y, w, h)).all():
         raise NumericError(f"cannot crop around a non-finite box {box_xywh}")
@@ -348,6 +350,8 @@ def read_ppm(path) -> np.ndarray:
     width, height, maxval = fields
     if maxval != 255:
         raise DataError(f"{path}: unsupported maxval {maxval}")
+    if width == 0 or height == 0:
+        raise DataError(f"{path}: empty {width}x{height} image")
     need = width * height * 3
     data = blob[pos:pos + need]
     if len(data) != need:

@@ -10,11 +10,11 @@ import pytest
 
 import hitrack
 from hitrack import evalbench, fusion, objectives, posenc, routing, runtime, tensor
-from hitrack.backbone import stage1_forward
+from hitrack.backbone import embed_template, stage1_forward
 from hitrack.boxes import iou_xywh
 from hitrack.errors import DataError
 from hitrack.evalbench import flop_account, threshold_sweep
-from hitrack.routing import Tracker, dyhit_forward, full_forward, route1_forward
+from hitrack.routing import ROUTE1, ROUTE2, Tracker, forward
 from hitrack.weights import (count_params, init_weights, load_weights, named_arrays,
                              save_weights)
 
@@ -35,14 +35,14 @@ def test_c01_dispatch_endpoints(toy_cfg, toy_params):
     rng = np.random.default_rng(101)
     for i in range(100):
         tpl, srch = random_pair(rng, toy_cfg)
-        fast, d0 = dyhit_forward(tpl, srch, toy_params, threshold=0.0)
-        alone = route1_forward(tpl, srch, toy_params)
+        fast, d0 = forward(tpl, srch, toy_params, threshold=0.0)
+        alone, _ = forward(tpl, srch, toy_params, route=ROUTE1)
         assert d0.route == routing.ROUTE1
         assert fast.corners == alone.corners
         assert np.array_equal(fast.tl_heatmap, alone.tl_heatmap)
         assert np.array_equal(fast.br_heatmap, alone.br_heatmap)
-        full, d1 = dyhit_forward(tpl, srch, toy_params, threshold=1.0)
-        plain = full_forward(tpl, srch, toy_params)
+        full, d1 = forward(tpl, srch, toy_params, threshold=1.0)
+        plain, _ = forward(tpl, srch, toy_params, route=ROUTE2)
         assert d1.route == routing.ROUTE2
         assert full.corners == plain.corners
         assert np.array_equal(full.tl_heatmap, plain.tl_heatmap)
@@ -157,7 +157,7 @@ def test_c06_cost_accounting(toy_cfg, toy_params, toy_pair):
     # accountant equals instrumented execution exactly, per module
     report = flop_account(toy_cfg)
     with tensor.count_macs() as counter:
-        full_forward(*toy_pair, toy_params)
+        forward(*toy_pair, toy_params, route=ROUTE2)
     for name, cost in report.modules.items():
         assert counter.get(name) == cost.macs, name
     assert counter.total == report.total_macs
@@ -208,7 +208,7 @@ def test_c09_dytracker_gating(toy_cfg, synthetic_suite):
         tpl, _ = runtime.crop_resize(seq.frames[0], gt[0], 2.0, toy_cfg.template_size)
         for t in range(1, len(seq), 4):
             patch, mapping = runtime.crop_resize(seq.frames[t], gt[t - 1], 4.0, toy_cfg.search_size)
-            state = stage1_forward(tpl, patch, params)
+            state = stage1_forward(embed_template(tpl, params), patch, params)
             pred = noisy.predict(t, seq.frames[t], gt[t - 1])
             targets, _ = objectives.label_router_targets(
                 state.s_max.shape[:2],
@@ -229,7 +229,7 @@ def test_c09_dytracker_gating(toy_cfg, synthetic_suite):
         tpl, _ = runtime.crop_resize(seq.frames[0], gt[0], 2.0, toy_cfg.template_size)
         for t in range(1, len(seq), 10):
             patch, _ = runtime.crop_resize(seq.frames[t], gt[t - 1], 4.0, toy_cfg.search_size)
-            state = stage1_forward(tpl, patch, params)
+            state = stage1_forward(embed_template(tpl, params), patch, params)
             fs.append(routing.router_score(state.s_max, fitted)[1])
     threshold = float(np.median(fs))
 
@@ -278,9 +278,9 @@ def test_c10_metrics_oracle():
 
 def test_c11_worst_case_overhead(toy_cfg, toy_params, toy_pair):
     with tensor.count_macs() as plain:
-        full_forward(*toy_pair, toy_params)
+        forward(*toy_pair, toy_params, route=ROUTE2)
     with tensor.count_macs() as gated:
-        dyhit_forward(*toy_pair, toy_params, threshold=1.0)
+        forward(*toy_pair, toy_params, threshold=1.0)
     router_macs = flop_account(toy_cfg).extras["router"].macs
     assert gated.total - plain.total == router_macs
     assert gated.get("router") == router_macs
@@ -314,7 +314,7 @@ def test_c13_head_numerics(variant, monkeypatch):
                                  cfg.template_size)
     srch, _ = runtime.crop_resize(seq.frames[1], seq.boxes[0], routing.SEARCH_FACTOR,
                                   cfg.search_size)
-    state = stage1_forward(tpl, srch, params)
+    state = stage1_forward(embed_template(tpl, params), srch, params)
     activations, softmaxes = [], []
 
     # The spies keep copies: the head adds biases, runs hardswish and

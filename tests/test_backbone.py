@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hitrack import backbone, make_config, tensor
-from hitrack.backbone import (PIXEL_MEAN, PIXEL_STD, backbone_forward, extract_search,
-                              global_vector, patch_embed, stage1_forward)
+from hitrack.backbone import (PIXEL_MEAN, PIXEL_STD, continue_forward, embed_template,
+                              extract_search, global_vector, patch_embed, stage1_forward)
 from hitrack.config import TokenLayout, geometry
 from hitrack.errors import ShapeError
 from hitrack.weights import init_weights, zero_weights
@@ -90,6 +92,14 @@ class TestLayoutChain:
             make_config("toy", template_size=32)
 
 
+def backbone_forward(template_img, search_img, params):
+    """Both halves of the backbone on one pair, every output by name."""
+    state = stage1_forward(embed_template(template_img, params), search_img, params)
+    s_mid, s_min, g = continue_forward(state, params)
+    return SimpleNamespace(s_max=state.s_max, s_mid=s_mid, s_min=s_min, g=g, g1=state.g1,
+                           s1=state.tokens)
+
+
 class TestBackboneForward:
     def test_stage_output_shapes(self, toy_params, toy_pair):
         outs = backbone_forward(*toy_pair, toy_params)
@@ -118,7 +128,7 @@ class TestBackboneForward:
             for arr in (bw.attn.wq, bw.attn.wk, bw.attn.wv, bw.attn.wo,
                         bw.mlp.w1, bw.mlp.b1, bw.mlp.w2, bw.mlp.b2):
                 arr[...] = 0.0
-        state = stage1_forward(*toy_pair, params)
+        state = stage1_forward(embed_template(toy_pair[0], params), toy_pair[1], params)
         embedded = patch_embed(toy_pair[1], params.embed)
         assert np.array_equal(state.s_max, embedded)
         assert np.allclose(state.g1, embedded.reshape(-1, 32).mean(axis=0), atol=1e-6)
@@ -145,9 +155,9 @@ class TestBackboneForward:
         assert not np.array_equal(base_s, poke_s)
 
     def test_wrong_image_size_rejected(self, toy_params):
+        grid = embed_template(np.zeros((64, 64, 3), dtype=np.float32), toy_params)
         with pytest.raises(ShapeError):
-            stage1_forward(np.zeros((64, 64, 3), dtype=np.float32),
-                           np.zeros((64, 64, 3), dtype=np.float32), toy_params)
+            stage1_forward(grid, np.zeros((64, 64, 3), dtype=np.float32), toy_params)
 
 
 class TestExtractSearch:

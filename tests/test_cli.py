@@ -113,6 +113,16 @@ class TestTrackEvalFlow:
         assert not out.exists()
 
 
+def write_pair(tmp_path, seed=0):
+    """Random toy-sized template and search PPMs."""
+    rng = np.random.default_rng(seed)
+    paths = []
+    for name, side in (("t.ppm", 64), ("s.ppm", 128)):
+        paths.append(tmp_path / name)
+        runtime.write_ppm(paths[-1], rng.uniform(0, 255, (side, side, 3)))
+    return ["--template", str(paths[0]), "--search", str(paths[1])]
+
+
 class TestInfer:
     def test_infer_on_crops(self, seq_dir, tmp_path, capsys):
         frames = runtime.load_frames(seq_dir)
@@ -156,6 +166,16 @@ class TestInfer:
         assert main(["infer", "--variant", "toy", "--template", str(tpath),
                      "--search", str(spath), "--route", "route1"]) == 0
         assert "route:" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("route", ["auto", "route1", "full"])
+    @pytest.mark.parametrize("threshold", ["5", "-0.1", "nan"])
+    def test_threshold_out_of_range_is_3_on_every_route(self, tmp_path, capsys, route, threshold):
+        code = main(["infer", "--variant", "toy", *write_pair(tmp_path), "--route", route,
+                     "--threshold", threshold])
+        assert code == cli.DATA_ERROR
+        captured = capsys.readouterr()
+        assert "threshold" in captured.err
+        assert "corners_norm" not in captured.out
 
 
 class TestSweepBenchFlops:
@@ -221,6 +241,21 @@ class TestConfigFile:
         cfg.write_text("variant = toy\n# comment line\ntau_fg = 0.7\n")
         assert main(["flops", "--config", str(cfg)]) == 0
         assert "toy" in capsys.readouterr().out
+
+    def test_seed_key_reaches_weights(self, tmp_path, capsys):
+        pair = write_pair(tmp_path)
+
+        def infer(*model_args):
+            assert main(["infer", *model_args, *pair]) == 0
+            return capsys.readouterr().out
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("variant = toy\nseed = 7\n")
+        from_file = infer("--config", str(cfg))
+        assert from_file == infer("--variant", "toy", "--seed", "7")
+        seed0 = infer("--variant", "toy", "--seed", "0")
+        assert from_file != seed0
+        assert infer("--config", str(cfg), "--seed", "0") == seed0  # the flag wins
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -372,6 +407,20 @@ class TestExitCodes:
         code = main(["track", "--variant", "toy", "--frames", str(nan_dir),
                      "--tracker", "full", "--out", str(tmp_path / "o.txt")])
         assert code == cli.NUMERIC_ERROR
+
+    @pytest.mark.parametrize("empty", ["000001.ppm", "000002.ppm"])
+    def test_empty_ppm_frame_is_3(self, seq_dir, tmp_path, capsys, empty):
+        frames = tmp_path / "seq"
+        frames.mkdir()
+        for name in ("000001.ppm", "000002.ppm"):
+            (frames / name).write_bytes((seq_dir / name).read_bytes())
+        (frames / empty).write_bytes(b"P6\n0 0\n255\n")
+        gt = (seq_dir / "groundtruth.txt").read_text().splitlines()[:2]
+        (frames / "groundtruth.txt").write_text("\n".join(gt) + "\n")
+        code = main(["track", "--variant", "toy", "--frames", str(frames), "--tracker", "full",
+                     "--out", str(tmp_path / "o.txt")])
+        assert code == cli.DATA_ERROR
+        assert f"{empty}: empty 0x0 image" in capsys.readouterr().err
 
     def test_threshold_out_of_range_is_3(self, seq_dir, tmp_path):
         code = main(["track", "--variant", "toy", "--frames", str(seq_dir), "--tracker", "full",

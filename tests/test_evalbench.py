@@ -7,7 +7,7 @@ from hitrack import evalbench, tensor
 from hitrack.errors import DataError
 from hitrack.evalbench import (SUCCESS_THRESHOLDS, evaluate_trace, flop_account,
                                iou, latency_bench, sweep_csv, threshold_sweep)
-from hitrack.routing import make_tracker
+from hitrack.routing import ROUTE2, make_tracker
 from hitrack.runtime import gen_synthetic
 from hitrack.weights import count_params, init_weights
 
@@ -111,7 +111,7 @@ class TestFlopAccount:
     def test_instrumented_equals_analytic_toy(self, toy_params, toy_pair):
         report = flop_account(toy_params.config)
         with tensor.count_macs() as counter:
-            hitrack.full_forward(*toy_pair, toy_params)
+            hitrack.forward(*toy_pair, toy_params, route=ROUTE2)
         for name, cost in report.modules.items():
             assert counter.get(name) == cost.macs, name
         assert counter.total == report.total_macs
@@ -119,7 +119,7 @@ class TestFlopAccount:
     def test_instrumented_extras_route1(self, toy_params, toy_pair):
         report = flop_account(toy_params.config)
         with tensor.count_macs() as counter:
-            hitrack.dyhit_forward(*toy_pair, toy_params, threshold=0.0)
+            hitrack.forward(*toy_pair, toy_params, threshold=0.0)
         assert counter.get("router") == report.extras["router"].macs
         assert counter.get("head1") == report.extras["head1"].macs
         for skipped in ("sa1", "stage2", "sa2", "stage3", "bridge", "head2"):
@@ -137,7 +137,7 @@ class TestFlopAccount:
         srch = rng.uniform(0, 255, (256, 256, 3)).astype(np.float32)
         report = flop_account(cfg)
         with tensor.count_macs() as counter:
-            hitrack.full_forward(tpl, srch, params)
+            hitrack.forward(tpl, srch, params, route=ROUTE2)
         assert counter.total == report.total_macs
         assert evalbench.total_params_with_extras(report) == count_params(params)
 

@@ -5,13 +5,12 @@ import pytest
 
 import hitrack
 from hitrack import routing, runtime
-from hitrack.backbone import stage1_forward
+from hitrack.backbone import embed_template, stage1_forward
 from hitrack.boxes import iou_xywh
 from hitrack.errors import DataError, NumericError, ShapeError
 from hitrack.evalbench import flop_account
-from hitrack.routing import (ROUTE1, ROUTE2, Tracker, dyhit_forward, file_base_tracker,
-                             full_forward, make_tracker, oracle_base_tracker, route_decision,
-                             route_head, route1_forward, router_score)
+from hitrack.routing import (ROUTE1, ROUTE2, Tracker, file_base_tracker, forward, make_tracker,
+                             oracle_base_tracker, route_decision, route_head, router_score)
 from hitrack.tensor import count_macs
 from hitrack.weights import RouterWeights, init_weights, named_arrays
 
@@ -93,31 +92,48 @@ class TestRouterScore:
 
 class TestDispatch:
     def test_t0_bit_identical_to_route1(self, toy_params, toy_pair):
-        pred, decision = dyhit_forward(*toy_pair, toy_params, threshold=0.0)
-        alone = route1_forward(*toy_pair, toy_params)
+        pred, decision = forward(*toy_pair, toy_params, threshold=0.0)
+        alone, _ = forward(*toy_pair, toy_params, route=ROUTE1)
         assert decision.route == routing.ROUTE1
         assert pred.corners == alone.corners
         assert np.array_equal(pred.tl_heatmap, alone.tl_heatmap)
         assert np.array_equal(pred.br_heatmap, alone.br_heatmap)
 
     def test_t1_bit_identical_to_full(self, toy_params, toy_pair):
-        pred, decision = dyhit_forward(*toy_pair, toy_params, threshold=1.0)
-        alone = full_forward(*toy_pair, toy_params)
+        pred, decision = forward(*toy_pair, toy_params, threshold=1.0)
+        alone, _ = forward(*toy_pair, toy_params, route=ROUTE2)
         assert decision.route == routing.ROUTE2
         assert pred.corners == alone.corners
         assert np.array_equal(pred.tl_heatmap, alone.tl_heatmap)
 
     def test_route1_when_f_above_threshold(self, toy_params, toy_pair):
-        state = stage1_forward(*toy_pair, toy_params)
+        state = stage1_forward(embed_template(toy_pair[0], toy_params), toy_pair[1], toy_params)
         d = route_decision(state.s_max, toy_params.router, 0.5)
         t = d.f - 0.05
-        pred, decision = dyhit_forward(*toy_pair, toy_params, threshold=t)
+        pred, decision = forward(*toy_pair, toy_params, threshold=t)
         assert decision.route == routing.ROUTE1
         assert pred.corners == route_head(state, toy_params, ROUTE1).corners
 
     def test_threshold_out_of_range(self, toy_params, toy_pair):
         with pytest.raises(DataError):
-            dyhit_forward(*toy_pair, toy_params, threshold=1.5)
+            forward(*toy_pair, toy_params, threshold=1.5)
+
+    @pytest.mark.parametrize("route", [None, ROUTE1, ROUTE2])
+    @pytest.mark.parametrize("t", [-0.1, 1.5, float("nan")])
+    def test_threshold_rejected_on_every_route(self, toy_params, toy_pair, route, t):
+        with pytest.raises(DataError, match="threshold"):
+            forward(*toy_pair, toy_params, route=route, threshold=t)
+        with pytest.raises(DataError, match="threshold"):
+            Tracker(toy_params, t, route=route)
+
+    def test_route_decision_rejects_nan_threshold(self):
+        feats = scores_to_features([[0.7, 0.2], [0.1, 0.9]])
+        with pytest.raises(DataError, match="threshold"):
+            route_decision(feats, make_identity_router(), float("nan"))
+
+    def test_unknown_route_rejected(self, toy_params, toy_pair):
+        with pytest.raises(DataError, match="route"):
+            forward(*toy_pair, toy_params, route="route3")
 
     def test_monotone_route1_usage_on_fixed_scores(self):
         # dispatch on a fixed score sequence: route1 fraction never increases in T
@@ -139,7 +155,7 @@ def nan_router_params(params):
 
 class TestNonFiniteRouterScore:
     def test_route_decision_raises(self, toy_params, toy_pair):
-        state = stage1_forward(*toy_pair, toy_params)
+        state = stage1_forward(embed_template(toy_pair[0], toy_params), toy_pair[1], toy_params)
         with pytest.raises(NumericError):
             route_decision(state.s_max, nan_router_params(toy_params).router, 0.0)
 
@@ -186,8 +202,38 @@ class TestOracleBaseTracker:
 
     def test_requires_init(self):
         base = oracle_base_tracker(self.GT, 0.0, seed=1)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="before init"):
             base.predict(0, None, None)
+
+    def test_missing_box_names_frame(self):
+        base = oracle_base_tracker(self.GT, 0.1, seed=1)
+        base.init(None, self.GT[0])
+        with pytest.raises(DataError, match="frame 61"):
+            base.predict(60, None, None)
+
+    @staticmethod
+    def per_call_box(gt, noise, seed, i):
+        """Frame i's box drawn on demand, from a fresh generator per call."""
+        x, y, w, h = gt[i]
+        if noise == 0.0:
+            return (x, y, w, h)
+        n = np.random.default_rng((seed, i)).standard_normal(4)
+        cx = x + w / 2.0 + noise * w * n[0]
+        cy = y + h / 2.0 + noise * h * n[1]
+        nw = max(w * (1.0 + noise * n[2]), 1e-6)
+        nh = max(h * (1.0 + noise * n[3]), 1e-6)
+        return (cx - nw / 2.0, cy - nh / 2.0, nw, nh)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05, 0.15])
+    def test_replayed_boxes_equal_per_call_draws(self, noise):
+        gt = [tuple(float(v) for v in b) for b in runtime.gen_synthetic(3, 1, 40).boxes]
+        base = oracle_base_tracker(gt, noise, seed=21)
+        base.init(None, gt[0])
+        for i in reversed(range(len(gt))):
+            got = np.array(base.predict(i, None, None))
+            want = np.array(self.per_call_box(gt, noise, 21, i))
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
 
 class TestFileBaseTracker:
@@ -296,7 +342,7 @@ class TestDyTracker:
             patch, mapping = runtime.crop_resize(frames[idx], routing.crop_reference(prev),
                                                  routing.SEARCH_FACTOR,
                                                  toy_params.config.search_size)
-            state = stage1_forward(tpl, patch, toy_params)
+            state = stage1_forward(embed_template(tpl, toy_params), patch, toy_params)
             decision = route_decision(state.s_max, toy_params.router, 0.5)
             if decision.route == ROUTE1:
                 pred = route_head(state, toy_params, ROUTE1)
@@ -400,7 +446,7 @@ class TestStepWritesNoInput:
 
         def watched(frame):
             arrays = [a for _, a in named_arrays(params)]
-            return arrays + [frame, tracker.template, tracker.template_grid]
+            return arrays + [frame, tracker.template_grid]
 
         prev = gt[0]
         for idx in (1, 2):

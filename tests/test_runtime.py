@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hitrack import runtime
-from hitrack.errors import DataError, NumericError
+from hitrack.errors import DataError, NumericError, ShapeError
 from hitrack.runtime import (CropMapping, crop_resize, gen_synthetic, load_frames,
                              map_box_to_crop, map_box_to_frame, read_boxes, read_ppm,
                              track_sequence, write_ppm, write_sequence)
@@ -16,6 +16,11 @@ def checker_frame(h=96, w=128, seed=0):
 
 
 class TestCropResize:
+    @pytest.mark.parametrize("shape", [(0, 0, 3), (0, 8, 3), (8, 0, 3)])
+    def test_empty_frame_rejected(self, shape):
+        with pytest.raises(ShapeError, match="empty"):
+            crop_resize(np.zeros(shape, np.float32), (1.0, 1.0, 2.0, 2.0), 4.0, 32)
+
     def test_search_and_template_sizes(self):
         frame = checker_frame()
         box = (40.0, 30.0, 24.0, 18.0)
@@ -425,6 +430,13 @@ class TestSequenceIo:
         path = tmp_path / "f.ppm"
         path.write_bytes(b"P6\n4")
         with pytest.raises(DataError, match="f.ppm.*header ends"):
+            read_ppm(path)
+
+    @pytest.mark.parametrize("size", [b"0 0", b"0 4", b"4 0"])
+    def test_ppm_empty_image_rejected(self, tmp_path, size):
+        path = tmp_path / "f.ppm"
+        path.write_bytes(b"P6\n" + size + b"\n255\n")
+        with pytest.raises(DataError, match="f.ppm.*empty"):
             read_ppm(path)
 
     def test_missing_frames_dir(self, tmp_path):

@@ -4,8 +4,9 @@ import threading
 import numpy as np
 import pytest
 
-from hitrack import full_forward, tensor
+from hitrack import forward, tensor
 from hitrack.errors import ShapeError
+from hitrack.routing import ROUTE2
 
 
 def naive_matmul(a, b):
@@ -526,7 +527,7 @@ class TestMacCountingThreads:
     def test_concurrent_forwards_each_read_the_solo_count(self, toy_params, toy_pair):
         reps, n_threads = 3, 3
         with tensor.count_macs() as solo:
-            full_forward(*toy_pair, toy_params)
+            forward(*toy_pair, toy_params, route=ROUTE2)
         readings = [None] * n_threads
         start = threading.Barrier(n_threads, timeout=60)
 
@@ -534,7 +535,7 @@ class TestMacCountingThreads:
             start.wait()
             with tensor.count_macs() as counter:
                 for _ in range(reps):
-                    full_forward(*toy_pair, toy_params)
+                    forward(*toy_pair, toy_params, route=ROUTE2)
             readings[i] = counter.counts
 
         interval = sys.getswitchinterval()

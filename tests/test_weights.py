@@ -3,6 +3,7 @@ import pytest
 
 import hitrack
 from hitrack.errors import DataError, ShapeError
+from hitrack.routing import ROUTE2
 from hitrack.weights import (count_params, init_weights, load_router, load_weights,
                              named_arrays, read_archive, save_router, save_weights,
                              write_archive)
@@ -92,7 +93,7 @@ class TestArchive:
         # runtime caches (gathered biases) must never leak into archives
         params = init_weights(toy_cfg, seed=3)
         before = {n for n, _ in named_arrays(params)}
-        hitrack.full_forward(*toy_pair, params)
+        hitrack.forward(*toy_pair, params, route=ROUTE2)
         after = {n for n, _ in named_arrays(params)}
         assert before == after
 
