@@ -15,6 +15,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import evalbench, objectives, routing, runtime, weights
 from .config import VARIANTS, make_config
 from .errors import DataError, HitrackError, NumericError
@@ -87,7 +89,7 @@ def _add_model_args(p):
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--variant", choices=sorted(VARIANTS), help="model variant")
     p.add_argument("--weights", help="HITW weight archive (default: seeded init)")
-    p.add_argument("--seed", type=int,
+    p.add_argument("--seed", type=_seed,
                    help="init seed of the network when no weights are given, and of fit-router's router")
     p.add_argument("--dtype", choices=("float32", "float64"))
     p.add_argument("--tau-fg", dest="tau_fg", type=float, help="foreground score threshold")
@@ -104,8 +106,22 @@ def _fields(text, sep, n, what, cast=int):
     return values
 
 
+def _seed(text):
+    """argparse type: a non-negative integer seed, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer seed, got {text!r}")
+    return value
+
+
 def _synth_spec(text):
-    return _fields(text, ":", 3, "seed:difficulty:length")
+    spec = _fields(text, ":", 3, "seed:difficulty:length")
+    if spec[0] < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative seed in {text!r}")
+    return spec
 
 
 def _synth_list(text):
@@ -242,13 +258,21 @@ def cmd_flops(args):
     file_values = read_config_file(args.config) if args.config else {}
     cfg = _build_config(args, file_values)
     report = evalbench.flop_account(cfg)
-    print(f"variant: {cfg.variant}  (template {cfg.template_size}, search {cfg.search_size})")
-    print(f"{'module':<8} {'MACs':>14} {'params':>12} {'frac':>8}")
+    itemsize = np.dtype(cfg.np_dtype).itemsize
+
+    def row(label, macs, params, frac):
+        # roofline columns: the weights a forward streams, and MACs per byte of them
+        nbytes = params * itemsize
+        intensity = f"{macs / nbytes:.1f}" if nbytes else "-"
+        print(f"{label:<8} {macs:>14,} {params:>12,} {frac:>8} {nbytes / 2**20:>10.1f} {intensity:>7}")
+
+    print(f"variant: {cfg.variant}  (template {cfg.template_size}, search {cfg.search_size}, {cfg.dtype})")
+    print(f"{'module':<8} {'MACs':>14} {'params':>12} {'frac':>8} {'weight MiB':>10} {'MAC/B':>7}")
     for name, cost in report.modules.items():
-        print(f"{name:<8} {cost.macs:>14,} {cost.params:>12,} {report.fractions[name]:>7.2%}")
-    print(f"{'total':<8} {report.total_macs:>14,} {report.total_params:>12,}")
+        row(name, cost.macs, cost.params, f"{report.fractions[name]:.2%}")
+    row("total", report.total_macs, report.total_params, "")
     for name, cost in report.extras.items():
-        print(f"{name + '*':<8} {cost.macs:>14,} {cost.params:>12,} {report.extra_fraction(name):>7.2%}")
+        row(name + "*", cost.macs, cost.params, f"{report.extra_fraction(name):.2%}")
     print("(*) dynamic-routing extras, not part of the static pipeline")
     return 0
 
@@ -283,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synth", help="generate a synthetic tracking sequence")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--difficulty", type=int, default=0)
     p.add_argument("--length", type=int, default=50)
     p.add_argument("--size", type=_frame_size, default=(120, 160),

@@ -239,6 +239,8 @@ def fit_router(features, targets, lr: float, epochs: int, seed: int,
         raise ShapeError(f"features {x.shape} do not match {y.shape[0]} targets")
     if x.shape[0] == 0:
         raise DataError("empty router training set")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     n, dim = x.shape
     h1, h2 = int(hidden[0]), int(hidden[1])
     rng = np.random.default_rng(seed)

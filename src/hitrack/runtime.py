@@ -214,19 +214,40 @@ class SyntheticSequence:
         return self.frames.shape[0]
 
 
-def _smooth_noise(rng, h, w, cell=8):
-    coarse = rng.uniform(-1.0, 1.0, size=(h // cell + 2, w // cell + 2, 3))
-    ys = np.linspace(0, coarse.shape[0] - 1.001, h)
-    xs = np.linspace(0, coarse.shape[1] - 1.001, w)
+# Background noise: a coarse grid of one uniform value per channel every
+# _NOISE_CELL pixels, bilinearly upsampled _NOISE_ROWS output rows at a time,
+# so its float64 scratch stays a few blocks of rows whatever the frame height.
+_NOISE_CELL = 8
+_NOISE_ROWS = 16
+
+
+def _smooth_noise(coarse, ys, xs):
+    """Bilinear upsample of ``coarse`` [gh, gw, 3] at row coordinates ``ys``
+    and column coordinates ``xs``: float64 [len(ys), len(xs), 3].
+
+    Every value is the same products and sums as
+    ``(1 - fy) * ((1 - fx) * a + fx * b) + fy * ((1 - fx) * c + fx * d)``
+    over the four neighbouring coarse values, evaluated in place. The
+    horizontal lerp of each coarse row the rows read is evaluated once and
+    shared by every output row that reads it.
+    """
     y0 = ys.astype(int)
     x0 = xs.astype(int)
     fy = (ys - y0)[:, None, None]
     fx = (xs - x0)[None, :, None]
-    a = coarse[y0][:, x0]
-    b = coarse[y0][:, x0 + 1]
-    c = coarse[y0 + 1][:, x0]
-    d = coarse[y0 + 1][:, x0 + 1]
-    return (1 - fy) * ((1 - fx) * a + fx * b) + fy * ((1 - fx) * c + fx * d)
+    first = y0[0]
+    grid = coarse[first:y0[-1] + 2]
+    lerp_x = grid[:, x0]
+    lerp_x *= 1 - fx
+    right = grid[:, x0 + 1]
+    right *= fx
+    lerp_x += right
+    rows = lerp_x[y0 - first]
+    rows *= 1 - fy
+    below = lerp_x[y0 + 1 - first]
+    below *= fy
+    rows += below
+    return rows
 
 
 def _draw_rect(frame, cx, cy, w, h, color, rng, jitter):
@@ -237,8 +258,10 @@ def _draw_rect(frame, cx, cy, w, h, color, rng, jitter):
     y1 = min(max(y1, 0), fh - int(h))
     x2 = x1 + int(w)
     y2 = y1 + int(h)
-    patch = color + jitter * rng.standard_normal((y2 - y1, x2 - x1, 3))
-    frame[y1:y2, x1:x2] = np.clip(patch, 0.0, 255.0)
+    patch = rng.standard_normal((y2 - y1, x2 - x1, 3))
+    patch *= jitter
+    patch += color
+    frame[y1:y2, x1:x2] = np.clip(patch, 0.0, 255.0, out=patch)
     return (float(x1), float(y1), float(x2 - x1), float(y2 - y1))
 
 
@@ -255,7 +278,13 @@ def gen_synthetic(seed: int, difficulty: int, length: int, hw=(120, 160),
     Both frame sides must be at least ``MIN_SYNTH_SIDE`` pixels: the target
     is at least 10 pixels on a side and distractors up to 1.2x larger, so
     smaller frames cannot always hold them.
+
+    The sequence holds one float32 ``[T, H, W, 3]`` array. Each frame is drawn
+    in its own slot of it, and the background is built in blocks of rows, so
+    the float64 scratch beside it stays bounded whatever the frame size.
     """
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     if length < 1:
         raise DataError(f"length must be >= 1, got {length}")
     if difficulty < 0:
@@ -269,8 +298,16 @@ def gen_synthetic(seed: int, difficulty: int, length: int, hw=(120, 160),
     motion = 2.0 + 2.0 * difficulty
 
     base = rng.uniform(60.0, 140.0, size=3)
-    texture = _smooth_noise(rng, h, w) * 80.0 * clutter
-    background = np.clip(base + texture, 0.0, 255.0).astype(np.float32)
+    coarse = rng.uniform(-1.0, 1.0, size=(h // _NOISE_CELL + 2, w // _NOISE_CELL + 2, 3))
+    ys = np.linspace(0, coarse.shape[0] - 1.001, h)
+    xs = np.linspace(0, coarse.shape[1] - 1.001, w)
+    background = np.empty((h, w, 3), dtype=np.float32)
+    for r in range(0, h, _NOISE_ROWS):
+        texture = _smooth_noise(coarse, ys[r:r + _NOISE_ROWS], xs)
+        texture *= 80.0
+        texture *= clutter
+        texture += base
+        background[r:r + _NOISE_ROWS] = np.clip(texture, 0.0, 255.0, out=texture)
 
     target_color = np.clip(base + rng.choice([-1.0, 1.0]) * rng.uniform(60.0, 90.0, size=3), 0.0, 255.0)
     tw = float(rng.integers(max(10, w // 8), max(12, w // 5)))
@@ -299,7 +336,8 @@ def gen_synthetic(seed: int, difficulty: int, length: int, hw=(120, 160),
     frames = np.empty((length, h, w, 3), dtype=np.float32)
     boxes = np.empty((length, 4), dtype=np.float64)
     for t in range(length):
-        frame = background.copy()
+        frame = frames[t]
+        frame[...] = background
         for state, dw, dh, dcolor in distractors:
             _draw_rect(frame, state[0], state[1], dw, dh, dcolor, rng, 6.0)
             advance(state, dw, dh)
@@ -311,8 +349,7 @@ def gen_synthetic(seed: int, difficulty: int, length: int, hw=(120, 160),
             for dy in range(3):
                 for dx in range(3):
                     acc += padded[dy:dy + h, dx:dx + w]
-            frame = acc / 9.0
-        frames[t] = frame
+            np.divide(acc, 9.0, out=frame)
     return SyntheticSequence(frames, boxes, seed, n_distractors, clutter, motion)
 
 

@@ -90,12 +90,23 @@ class ModelParams:
     router: RouterWeights
 
 
+# Values per uniform draw. ``uniform`` takes one double per value in C order,
+# so drawing a tensor in blocks gives the bits of one whole-tensor draw while
+# the float64 scratch stays at 512 KiB whatever the tensor's size.
+_DRAW_BLOCK = 1 << 16
+
+
 def _uniform_maker(seed: int):
     rng = np.random.default_rng(seed)
 
     def make(shape, fan_in, dtype):
         bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape).astype(dtype)
+        out = np.empty(shape, dtype=dtype)
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, _DRAW_BLOCK):
+            block = flat[start:start + _DRAW_BLOCK]
+            block[...] = rng.uniform(-bound, bound, size=block.size)
+        return out
 
     return make
 
@@ -205,7 +216,14 @@ def _build_params(config: ModelConfig, make) -> ModelParams:
 
 
 def init_weights(config: ModelConfig, seed: int = 0) -> ModelParams:
-    """Seeded parameter set; identical seeds give bit-identical tensors."""
+    """Seeded parameter set; identical seeds give bit-identical tensors.
+
+    Each tensor is allocated once in the config dtype and drawn into in
+    blocks of values, which give the same bits as one float64 draw of the
+    whole tensor cast to that dtype.
+    """
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     return _build_params(config, _uniform_maker(seed))
 
 

@@ -191,10 +191,31 @@ class TestSweepBenchFlops:
         printed = capsys.readouterr().out
         assert "fps:" in printed
 
-    def test_flops_table(self, capsys):
-        assert main(["flops", "--variant", "base"]) == 0
+    @staticmethod
+    def flops_rows(capsys, dtype, itemsize):
+        assert main(["flops", "--variant", "base", "--dtype", dtype]) == 0
         printed = capsys.readouterr().out
         assert "bridge" in printed and "router*" in printed and "total" in printed
+        assert dtype in printed.splitlines()[0]
+        rows = {line.split()[0]: line.split() for line in printed.splitlines()[2:-1]}
+        # roofline columns: weight MiB at the dtype's itemsize, and MACs per weight byte
+        report = hitrack.flop_account(hitrack.make_config("base"))
+        costs = {**report.modules, **{k + "*": c for k, c in report.extras.items()}}
+        for name, cost in costs.items():
+            nbytes = cost.params * itemsize
+            assert rows[name][-2:] == [f"{nbytes / 2**20:.1f}", f"{cost.macs / nbytes:.1f}"], name
+        return rows
+
+    def test_flops_table(self, capsys):
+        rows = self.flops_rows(capsys, "float32", 4)
+        assert rows["stage3"][-2:] == ["63.1", "5.0"]
+        assert rows["bridge"][-2:] == ["36.0", "8.0"]
+        assert rows["embed"][-1] == "189.9" and rows["stage1"][-1] == "93.7"
+        assert rows["total"][-2:] == ["169.4", "24.3"]
+
+    def test_flops_weight_bytes_follow_dtype(self, capsys):
+        rows = self.flops_rows(capsys, "float64", 8)
+        assert rows["stage3"][-2:] == ["126.2", "2.5"]
 
 
 class TestFitRouterCommand:
@@ -309,10 +330,11 @@ class TestExitCodes:
         assert exc.value.code == cli.USAGE_ERROR
 
     @staticmethod
-    def usage_code(argv, capsys):
+    def usage_code(argv, capsys, message=""):
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert "usage:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage:" in err and message in err
         return exc.value.code
 
     @pytest.mark.parametrize("spec", ["5:0", "5:a:4", "5:0:4:1", ""])
@@ -322,6 +344,54 @@ class TestExitCodes:
             assert self.usage_code(argv, capsys) == cli.USAGE_ERROR
         argv = ["sweep", "--variant", "toy", "--synth", f"5:0:6,{spec}"]
         assert self.usage_code(argv, capsys) == cli.USAGE_ERROR
+
+    MODEL_COMMANDS = {
+        "track": ["track", "--variant", "toy", "--synth=5:0:4", "--out", "{tmp}/o.txt"],
+        "sweep": ["sweep", "--variant", "toy", "--synth=5:0:4", "--grid", "0,1"],
+        "bench": ["bench", "--variant", "toy", "--synth=5:0:4"],
+        "infer": ["infer", "--variant", "toy", "--template", "{tmp}/t.ppm", "--search", "{tmp}/s.ppm"],
+        "fit-router": ["fit-router", "--variant", "toy", "--synth=5:0:4", "--epochs", "1",
+                       "--out", "{tmp}/r.hitw"],
+    }
+
+    def model_argv(self, command, tmp_path):
+        return [a.format(tmp=tmp_path) for a in self.MODEL_COMMANDS[command]]
+
+    def test_negative_gen_synth_seed_is_2(self, tmp_path, capsys):
+        argv = ["gen-synth", "--out", str(tmp_path / "seq"), "--seed", "-1"]
+        assert self.usage_code(argv, capsys, "non-negative integer seed, got '-1'") == cli.USAGE_ERROR
+        assert not (tmp_path / "seq").exists()
+
+    @pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+    def test_negative_model_seed_is_2(self, tmp_path, capsys, command):
+        argv = self.model_argv(command, tmp_path) + ["--seed", "-1"]
+        assert self.usage_code(argv, capsys, "non-negative integer seed, got '-1'") == cli.USAGE_ERROR
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["track", "bench", "sweep", "fit-router"])
+    def test_negative_synth_seed_is_2(self, tmp_path, capsys, command):
+        argv = [a.replace("=5:0:4", "=-1:0:5") for a in self.model_argv(command, tmp_path)]
+        assert self.usage_code(argv, capsys, "non-negative seed in '-1:0:5'") == cli.USAGE_ERROR
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+    def test_negative_config_seed_is_3(self, tmp_path, capsys, command):
+        config = tmp_path / "neg.cfg"
+        config.write_text("seed = -1\n")
+        assert main(self.model_argv(command, tmp_path) + ["--config", str(config)]) == cli.DATA_ERROR
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["neg.cfg"]
+
+    def test_negative_config_seed_with_weights_is_3(self, tmp_path, capsys):
+        # the trunk comes from the archive, so only fit-router's router seed reads -1
+        trunk = tmp_path / "trunk.hitw"
+        weights.save_weights(trunk, weights.init_weights(hitrack.make_config("toy"), 7))
+        config = tmp_path / "neg.cfg"
+        config.write_text("seed = -1\n")
+        argv = self.model_argv("fit-router", tmp_path) + ["--weights", str(trunk), "--config", str(config)]
+        assert main(argv) == cli.DATA_ERROR
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "r.hitw").exists()
 
     @pytest.mark.parametrize("size", ["12y", "12x", "x16", "12x16x3"])
     def test_malformed_size_is_2(self, tmp_path, capsys, size):

@@ -397,6 +397,10 @@ class TestGenSynthetic:
         with pytest.raises(DataError):
             gen_synthetic(seed=0, difficulty=0, length=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="seed must be >= 0"):
+            gen_synthetic(seed=-1, difficulty=0, length=5)
+
     @pytest.mark.parametrize("hw", [(32, 32), (32, 1000), (1000, 32)])
     def test_minimum_side_fits_every_difficulty(self, hw):
         for seed in range(10):
@@ -404,6 +408,126 @@ class TestGenSynthetic:
                 seq = gen_synthetic(seed=seed, difficulty=difficulty, length=20, hw=hw)
                 assert (seq.boxes[:, 0] + seq.boxes[:, 2] <= hw[1]).all()
                 assert (seq.boxes[:, 1] + seq.boxes[:, 3] <= hw[0]).all()
+
+
+def reference_smooth_noise(rng, h, w, cell=8):
+    """The whole-frame background noise ``gen_synthetic`` was first written with."""
+    coarse = rng.uniform(-1.0, 1.0, size=(h // cell + 2, w // cell + 2, 3))
+    ys = np.linspace(0, coarse.shape[0] - 1.001, h)
+    xs = np.linspace(0, coarse.shape[1] - 1.001, w)
+    y0 = ys.astype(int)
+    x0 = xs.astype(int)
+    fy = (ys - y0)[:, None, None]
+    fx = (xs - x0)[None, :, None]
+    a = coarse[y0][:, x0]
+    b = coarse[y0][:, x0 + 1]
+    c = coarse[y0 + 1][:, x0]
+    d = coarse[y0 + 1][:, x0 + 1]
+    return (1 - fy) * ((1 - fx) * a + fx * b) + fy * ((1 - fx) * c + fx * d)
+
+
+def reference_draw_rect(frame, cx, cy, w, h, color, rng, jitter):
+    fh, fw = frame.shape[:2]
+    x1 = int(round(cx - w / 2.0))
+    y1 = int(round(cy - h / 2.0))
+    x1 = min(max(x1, 0), fw - int(w))
+    y1 = min(max(y1, 0), fh - int(h))
+    x2 = x1 + int(w)
+    y2 = y1 + int(h)
+    patch = color + jitter * rng.standard_normal((y2 - y1, x2 - x1, 3))
+    frame[y1:y2, x1:x2] = np.clip(patch, 0.0, 255.0)
+    return (float(x1), float(y1), float(x2 - x1), float(y2 - y1))
+
+
+def reference_gen_synthetic(seed, difficulty, length, hw, blur):
+    """``gen_synthetic`` as first written: whole-frame temporaries, each frame
+    drawn on a copy of the background and copied into the sequence."""
+    h, w = hw
+    rng = np.random.default_rng(seed)
+    clutter = 0.15 + 0.1 * difficulty
+    motion = 2.0 + 2.0 * difficulty
+    base = rng.uniform(60.0, 140.0, size=3)
+    texture = reference_smooth_noise(rng, h, w) * 80.0 * clutter
+    background = np.clip(base + texture, 0.0, 255.0).astype(np.float32)
+    target_color = np.clip(base + rng.choice([-1.0, 1.0]) * rng.uniform(60.0, 90.0, size=3), 0.0, 255.0)
+    tw = float(rng.integers(max(10, w // 8), max(12, w // 5)))
+    th = float(rng.integers(max(10, h // 8), max(12, h // 5)))
+
+    def init_walker(margin_w, margin_h):
+        cx = rng.uniform(margin_w, w - margin_w)
+        cy = rng.uniform(margin_h, h - margin_h)
+        vel = rng.uniform(-1.0, 1.0, size=2)
+        return [cx, cy, vel[0], vel[1]]
+
+    target = init_walker(tw, th)
+    distractors = []
+    for _ in range(difficulty):
+        dw = tw * rng.uniform(0.8, 1.2)
+        dh = th * rng.uniform(0.8, 1.2)
+        dcolor = np.clip(target_color + rng.uniform(-15, 15, size=3), 0.0, 255.0)
+        distractors.append((init_walker(dw, dh), dw, dh, dcolor))
+
+    def advance(state, bw, bh):
+        state[2] = 0.85 * state[2] + motion * 0.4 * rng.standard_normal()
+        state[3] = 0.85 * state[3] + motion * 0.4 * rng.standard_normal()
+        state[0] = float(np.clip(state[0] + state[2], bw / 2 + 1, w - bw / 2 - 1))
+        state[1] = float(np.clip(state[1] + state[3], bh / 2 + 1, h - bh / 2 - 1))
+
+    frames = np.empty((length, h, w, 3), dtype=np.float32)
+    boxes = np.empty((length, 4), dtype=np.float64)
+    for t in range(length):
+        frame = background.copy()
+        for state, dw, dh, dcolor in distractors:
+            reference_draw_rect(frame, state[0], state[1], dw, dh, dcolor, rng, 6.0)
+            advance(state, dw, dh)
+        boxes[t] = reference_draw_rect(frame, target[0], target[1], tw, th, target_color, rng, 4.0)
+        advance(target, tw, th)
+        if blur:
+            padded = np.pad(frame, ((1, 1), (1, 1), (0, 0)), mode="edge")
+            acc = np.zeros_like(frame)
+            for dy in range(3):
+                for dx in range(3):
+                    acc += padded[dy:dy + h, dx:dx + w]
+            frame = acc / 9.0
+        frames[t] = frame
+    return frames, boxes
+
+
+class TestGenSyntheticMatchesReference:
+    """The generator draws in place and builds its background in row blocks:
+    it must give the bytes of the whole-frame generator it replaced."""
+
+    @staticmethod
+    def assert_matches(seed, difficulty, length, hw, blur):
+        seq = gen_synthetic(seed, difficulty, length, hw=hw, blur=blur)
+        frames, boxes = reference_gen_synthetic(seed, difficulty, length, hw, blur)
+        assert_same_bytes(seq.frames, frames)
+        assert_same_bytes(seq.boxes, boxes)
+
+    # 480 and 120 rows fill whole and partial last blocks; 33 and 37 leave
+    # one and five rows in the last block
+    @pytest.mark.parametrize("hw", [(480, 640), (120, 160), (33, 47), (37, 1000)])
+    @pytest.mark.parametrize("blur", [False, True])
+    def test_same_bytes(self, hw, blur):
+        for seed, difficulty in ((0, 0), (3, 1), (17, 2), (500_001, 3)):
+            self.assert_matches(seed, difficulty, 1, hw, blur)
+        self.assert_matches(5, 3, 25, hw, blur)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7, 1000])
+    def test_block_size_does_not_change_bytes(self, monkeypatch, rows):
+        monkeypatch.setattr(runtime, "_NOISE_ROWS", rows)
+        for hw in ((120, 160), (37, 1000)):
+            self.assert_matches(9, 2, 2, hw, False)
+
+    def test_scratch_is_bounded(self):
+        tracemalloc.start()
+        try:
+            seq = gen_synthetic(1, 3, 25, hw=(480, 640))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the frames plus one float32 background and a few blocks of rows
+        assert peak - seq.frames.nbytes < 8 * 2**20
 
 
 class TestSequenceIo:

@@ -1,11 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import hitrack
+from hitrack import weights
 from hitrack.errors import DataError, ShapeError
 from hitrack.routing import ROUTE2
 from hitrack.weights import (count_params, init_weights, load_weights, named_arrays,
                              read_archive, save_weights, write_archive)
+
+
+def reference_maker(seed):
+    """Whole-tensor draws, as ``init_weights`` first made them."""
+    rng = np.random.default_rng(seed)
+
+    def make(shape, fan_in, dtype):
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+    return make
 
 
 class TestInitWeights:
@@ -38,6 +52,48 @@ class TestInitWeights:
     def test_dtype_follows_config(self, toy_cfg64):
         params = init_weights(toy_cfg64, seed=1)
         assert params.embed.convs[0].kernel.dtype == np.float64
+
+    def test_negative_seed_rejected(self, toy_cfg):
+        with pytest.raises(DataError, match="seed must be >= 0"):
+            init_weights(toy_cfg, seed=-1)
+
+
+class TestBlockedDraws:
+    """``init_weights`` draws each tensor in blocks of values: it must give the
+    bytes of one whole-tensor draw cast to the config dtype."""
+
+    @pytest.mark.parametrize("variant, dtype", [
+        (v, d) for v in ("toy", "tiny", "small", "base") for d in ("float32", "float64")
+        if (v, d) != ("base", "float64")
+    ])
+    def test_same_bytes_as_whole_tensor_draws(self, variant, dtype):
+        cfg = hitrack.make_config(variant, dtype=dtype)
+        got = named_arrays(init_weights(cfg, seed=7))
+        want = named_arrays(weights._build_params(cfg, reference_maker(7)))
+        assert [n for n, _ in got] == [n for n, _ in want]
+        for (name, a), (_, b) in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("block", [7, 1000])
+    def test_block_size_does_not_change_bytes(self, monkeypatch, block):
+        monkeypatch.setattr(weights, "_DRAW_BLOCK", block)
+        cfg = hitrack.make_config("toy")
+        for (name, a), (_, b) in zip(named_arrays(init_weights(cfg, seed=7)),
+                                     named_arrays(weights._build_params(cfg, reference_maker(7)))):
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("variant", ["tiny", "base"])
+    def test_scratch_is_bounded(self, variant):
+        cfg = hitrack.make_config(variant)
+        tracemalloc.start()
+        try:
+            params = init_weights(cfg, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(a.nbytes for _, a in named_arrays(params))
+        assert peak - param_bytes < 8 * 2**20
 
 
 class TestArchive:
