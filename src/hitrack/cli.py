@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: infer, track, sweep, bench, flops, fit-router, gen-synth, eval.
-Every model command builds its network from the same options (variant,
-seeded or ``--weights`` archive, dtype, tau_fg); ``fit-router`` labels
-synthetic sequences with that network, fits its router and writes the whole
-network back as a HITW archive that ``--weights`` loads. A flat
-``key = value`` config file can preload any model option; command-line
-flags win over config values. Exit codes: 0 success, 2 usage error, 3 data
-error, 4 numeric failure.
+Before a model command runs, every option the command line left unset takes
+its value from the flat ``key = value`` ``--config`` file, else its default,
+so a flag beats the file and the file beats the default. ``_model`` then
+turns the options into one (config, params) pair, loaded from a
+``--weights`` archive or seeded; ``flops`` needs only the config.
+``fit-router`` labels synthetic sequences with that network, fits its router
+and writes the whole network back as a HITW archive that ``--weights``
+loads. Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric
+failure.
 """
 from __future__ import annotations
 
@@ -36,53 +38,52 @@ _CONFIG_KEYS = {
     "threshold": float,
     "seed": int,
 }
+# The options that are not ModelConfig fields; the others default to the variant's values.
+_DEFAULTS = {"variant": "base", "threshold": 0.5, "seed": 0}
 
 
 def read_config_file(path) -> dict:
     """Parse a flat UTF-8 ``key = value`` config file ('#' starts a comment)."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_KEYS:
-                raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = _CONFIG_KEYS[key](value)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, raw in enumerate(runtime.read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _CONFIG_KEYS:
+            raise DataError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = _CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
-def _build_config(args, file_values):
-    variant = getattr(args, "variant", None) or file_values.get("variant", "base")
-    overrides = {k: v for k, v in file_values.items() if k not in ("variant", "threshold", "seed")}
-    if getattr(args, "tau_fg", None) is not None:
-        overrides["tau_fg"] = args.tau_fg
-    if getattr(args, "classify_every_n", None) is not None:
-        overrides["classify_every_n"] = args.classify_every_n
-    if getattr(args, "dtype", None):
-        overrides["dtype"] = args.dtype
-    return make_config(variant, **overrides)
+def _fill_options(args):
+    """Give every option the command line left unset its ``--config`` value,
+    else its default: a flag beats the file, and the file beats the default."""
+    from_file = read_config_file(args.config) if args.config else {}
+    for key in _CONFIG_KEYS:
+        if getattr(args, key, None) is None:
+            setattr(args, key, from_file.get(key, _DEFAULTS.get(key)))
 
 
-def _resolve(args, file_values, key, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return file_values.get(key, default)
+def _config(args):
+    overrides = {key: getattr(args, key) for key in _CONFIG_KEYS
+                 if key not in _DEFAULTS and getattr(args, key) is not None}
+    return make_config(args.variant, **overrides)
 
 
-def _load_params(args, cfg, file_values):
-    if getattr(args, "weights", None):
-        return weights.load_weights(args.weights, cfg)
-    return weights.init_weights(cfg, _resolve(args, file_values, "seed", 0))
+def _model(args):
+    """The command's (config, params): loaded from ``--weights``, else seeded."""
+    cfg = _config(args)
+    if args.weights:
+        return cfg, weights.load_weights(args.weights, cfg)
+    return cfg, weights.init_weights(cfg, args.seed)
 
 
 def _add_model_args(p):
@@ -93,6 +94,17 @@ def _add_model_args(p):
                    help="init seed of the network when no weights are given, and of fit-router's router")
     p.add_argument("--dtype", choices=("float32", "float64"))
     p.add_argument("--tau-fg", dest="tau_fg", type=float, help="foreground score threshold")
+
+
+def _add_tracking_args(p, tracker):
+    """The sequence and tracker options ``track`` and ``bench`` share."""
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--frames", help="directory of PPM frames")
+    source.add_argument("--synth", type=_synth_spec, help="seed:difficulty:length synthetic sequence")
+    p.add_argument("--gt", help="ground-truth box file (default <frames>/groundtruth.txt)")
+    p.add_argument("--tracker", choices=("full", "route1", "dyhit", "dytracker"), default=tracker)
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--base-results", help="per-frame x,y,w,h file for the dytracker base")
 
 
 def _fields(text, sep, n, what, cast=int):
@@ -144,11 +156,9 @@ def _box(text):
 
 
 def _load_sequence(args):
-    if getattr(args, "frames", None):
+    if args.frames:
         frames = runtime.load_frames(args.frames)
-        gt_path = Path(args.frames) / "groundtruth.txt"
-        gt = runtime.read_boxes(args.gt or gt_path)
-        return frames, gt
+        return frames, runtime.read_boxes(args.gt or Path(args.frames) / "groundtruth.txt")
     seq = runtime.gen_synthetic(*args.synth)
     return list(seq.frames), [tuple(b) for b in seq.boxes]
 
@@ -163,14 +173,11 @@ def cmd_gen_synth(args):
 
 
 def cmd_infer(args):
-    file_values = read_config_file(args.config) if args.config else {}
-    cfg = _build_config(args, file_values)
-    params = _load_params(args, cfg, file_values)
+    cfg, params = _model(args)
     template = runtime.read_ppm(args.template)
     search = runtime.read_ppm(args.search)
     route = {"auto": None, "route1": routing.ROUTE1, "full": routing.ROUTE2}[args.route]
-    pred, decision = routing.forward(template, search, params, route,
-                                     _resolve(args, file_values, "threshold", 0.5))
+    pred, decision = routing.forward(template, search, params, route, args.threshold)
     x1, y1, x2, y2 = pred.corners
     s = cfg.search_size
     print(f"corners_norm: {x1:.6f},{y1:.6f},{x2:.6f},{y2:.6f}")
@@ -180,23 +187,20 @@ def cmd_infer(args):
     return 0
 
 
-def _make_tracker(args, params, file_values):
-    threshold = _resolve(args, file_values, "threshold", 0.5)
+def _make_tracker(args, params):
     base = None
     if args.tracker == "dytracker":
         if not args.base_results:
             raise DataError("--base-results is required for the dytracker")
         base = routing.file_base_tracker(args.base_results)
-    return routing.make_tracker(args.tracker, params, threshold, base)
+    return routing.make_tracker(args.tracker, params, args.threshold, base)
 
 
 def cmd_track(args):
-    file_values = read_config_file(args.config) if args.config else {}
-    cfg = _build_config(args, file_values)
-    params = _load_params(args, cfg, file_values)
+    _, params = _model(args)
     frames, gt = _load_sequence(args)
     init_box = args.init_box or gt[0]
-    tracker = _make_tracker(args, params, file_values)
+    tracker = _make_tracker(args, params)
     result = runtime.track_sequence(frames, init_box, tracker)
     runtime.write_boxes(args.out, result.boxes)
     if args.decisions_out:
@@ -226,9 +230,7 @@ def cmd_eval(args):
 
 
 def cmd_sweep(args):
-    file_values = read_config_file(args.config) if args.config else {}
-    cfg = _build_config(args, file_values)
-    params = _load_params(args, cfg, file_values)
+    _, params = _model(args)
     sequences = [runtime.gen_synthetic(*spec) for spec in args.synth]
     rows = evalbench.threshold_sweep(args.grid, sequences, params)
     csv = evalbench.sweep_csv(rows)
@@ -241,11 +243,9 @@ def cmd_sweep(args):
 
 
 def cmd_bench(args):
-    file_values = read_config_file(args.config) if args.config else {}
-    cfg = _build_config(args, file_values)
-    params = _load_params(args, cfg, file_values)
+    _, params = _model(args)
     frames, gt = _load_sequence(args)
-    tracker = _make_tracker(args, params, file_values)
+    tracker = _make_tracker(args, params)
     stats = evalbench.latency_bench(tracker, frames, gt[0], args.warmup, args.reps)
     print(f"mean: {stats.mean_ms:.3f} ms  median: {stats.median_ms:.3f} ms  "
           f"p95: {stats.p95_ms:.3f} ms  fps: {stats.fps:.1f}")
@@ -255,8 +255,7 @@ def cmd_bench(args):
 
 
 def cmd_flops(args):
-    file_values = read_config_file(args.config) if args.config else {}
-    cfg = _build_config(args, file_values)
+    cfg = _config(args)
     report = evalbench.flop_account(cfg)
     itemsize = np.dtype(cfg.np_dtype).itemsize
 
@@ -278,13 +277,10 @@ def cmd_flops(args):
 
 
 def cmd_fit_router(args):
-    file_values = read_config_file(args.config) if args.config else {}
-    cfg = _build_config(args, file_values)
-    params = _load_params(args, cfg, file_values)
+    cfg, params = _model(args)
     sequences = [runtime.gen_synthetic(*spec) for spec in args.synth]
     features, targets = objectives.label_router_samples(sequences, params)
-    fitted, losses = objectives.fit_router(features, targets, args.lr, args.epochs,
-                                           _resolve(args, file_values, "seed", 0),
+    fitted, losses = objectives.fit_router(features, targets, args.lr, args.epochs, args.seed,
                                            hidden=cfg.router_hidden, tau_fg=cfg.tau_fg)
     for key in ("w1", "b1", "w2", "b2", "w3", "b3"):
         setattr(fitted, key, getattr(fitted, key).astype(cfg.np_dtype))
@@ -325,15 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track", help="track a sequence")
     _add_model_args(p)
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--frames", help="directory of PPM frames")
-    source.add_argument("--synth", type=_synth_spec, help="seed:difficulty:length synthetic sequence")
-    p.add_argument("--gt", help="ground-truth box file (default <frames>/groundtruth.txt)")
+    _add_tracking_args(p, "dyhit")
     p.add_argument("--init-box", type=_box, help="x,y,w,h for frame 1 (default: first gt line)")
-    p.add_argument("--tracker", choices=("full", "route1", "dyhit", "dytracker"), default="dyhit")
-    p.add_argument("--threshold", type=float)
     p.add_argument("--classify-every-n", type=int)
-    p.add_argument("--base-results", help="per-frame x,y,w,h file for the dytracker base")
     p.add_argument("--out", required=True)
     p.add_argument("--decisions-out")
     p.set_defaults(func=cmd_track)
@@ -353,13 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="latency benchmark")
     _add_model_args(p)
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--frames")
-    source.add_argument("--synth", type=_synth_spec, help="seed:difficulty:length")
-    p.add_argument("--gt")
-    p.add_argument("--tracker", choices=("full", "route1", "dyhit", "dytracker"), default="full")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--base-results")
+    _add_tracking_args(p, "full")
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--reps", type=int, default=3)
     p.set_defaults(func=cmd_bench)
@@ -385,6 +369,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "config"):
+            _fill_options(args)
         return args.func(args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

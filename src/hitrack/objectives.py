@@ -241,6 +241,8 @@ def fit_router(features, targets, lr: float, epochs: int, seed: int,
         raise DataError("empty router training set")
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
+    if epochs < 0:
+        raise DataError(f"epochs must be >= 0, got {epochs}")
     n, dim = x.shape
     h1, h2 = int(hidden[0]), int(hidden[1])
     rng = np.random.default_rng(seed)

@@ -424,23 +424,31 @@ def write_boxes(path, boxes) -> None:
             fh.write(f"{x:.4f},{y:.4f},{w:.4f},{h:.4f}\n")
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; any other encoding is a DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def read_boxes(path):
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.replace(";", ",").split(",")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 'x,y,w,h', got {line!r}")
-            try:
-                box = tuple(float(p) for p in parts)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            if not np.isfinite(box).all():
-                raise NumericError(f"{path}:{lineno}: non-finite box {line!r}")
-            out.append(box)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.replace(";", ",").split(",")
+        if len(parts) != 4:
+            raise DataError(f"{path}:{lineno}: expected 'x,y,w,h', got {line!r}")
+        try:
+            box = tuple(float(p) for p in parts)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if not np.isfinite(box).all():
+            raise NumericError(f"{path}:{lineno}: non-finite box {line!r}")
+        out.append(box)
     if not out:
         raise DataError(f"{path}: no boxes")
     return out

@@ -12,8 +12,12 @@ The archive format is little-endian and platform independent:
     payload:     raw little-endian blobs, manifest order
     trailer:     CRC32 of the payload, u32
 
-Loading rebuilds the tree for a config and rejects checksum failures, missing
-or extra tensors, and per-tensor shape mismatches by name.
+Loading builds the tree for a config and checks the manifest against it
+before it reads a payload byte: a duplicated, missing or extra name and a
+shape mismatch are rejected by name. The payload is then read straight into
+the tree's tensors under a running CRC32, and a checksum failure is
+rejected. Writing streams each tensor's buffer the same way, so neither
+direction holds a second copy of the weights.
 """
 from __future__ import annotations
 
@@ -30,7 +34,6 @@ from .errors import DataError, ShapeError
 MAGIC = b"HITW"
 VERSION = 1
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_CODE_FOR_KIND = {"f4": 0, "f8": 1}
 
 
 @dataclass(eq=False)
@@ -111,11 +114,8 @@ def _uniform_maker(seed: int):
     return make
 
 
-def _zero_maker():
-    def make(shape, fan_in, dtype):
-        return np.zeros(shape, dtype=dtype)
-
-    return make
+def _zeros(shape, fan_in, dtype):
+    return np.zeros(shape, dtype=dtype)
 
 
 def _build_params(config: ModelConfig, make) -> ModelParams:
@@ -228,7 +228,7 @@ def init_weights(config: ModelConfig, seed: int = 0) -> ModelParams:
 
 
 def zero_weights(config: ModelConfig) -> ModelParams:
-    return _build_params(config, _zero_maker())
+    return _build_params(config, _zeros)
 
 
 def _named_slots(obj, prefix=""):
@@ -265,75 +265,57 @@ def count_params(params: ModelParams) -> int:
 
 
 def write_archive(path, tensors: list[tuple[str, np.ndarray]]) -> None:
-    """Write named tensors in the HITW container format."""
-    manifest = bytearray()
-    payload = bytearray()
-    for name, arr in tensors:
-        arr = np.asarray(arr)
-        kind = "f8" if arr.dtype == np.float64 else "f4"
-        code = _CODE_FOR_KIND[kind]
-        blob = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes()
-        encoded = name.encode("utf-8")
-        manifest += struct.pack("<H", len(encoded)) + encoded
-        manifest += struct.pack("<BB", code, arr.ndim)
-        manifest += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
-        payload += blob
-    header = MAGIC + struct.pack("<HI", VERSION, len(tensors))
-    crc = zlib.crc32(bytes(payload)) & 0xFFFFFFFF
+    """Write named tensors in the HITW container format, float64 tensors as
+    f8 and all others as f4, streaming each tensor's buffer under a running
+    CRC32."""
+    blobs = []
+    crc = 0
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(bytes(manifest))
-        fh.write(bytes(payload))
+        fh.write(MAGIC + struct.pack("<HI", VERSION, len(tensors)))
+        for name, arr in tensors:
+            code = 1 if np.asarray(arr).dtype == np.float64 else 0
+            blob = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack(f"<H{len(encoded)}sBB{blob.ndim}I",
+                                 len(encoded), encoded, code, blob.ndim, *blob.shape))
+            blobs.append(blob)
+        for blob in blobs:
+            fh.write(blob)
+            crc = zlib.crc32(blob, crc)
         fh.write(struct.pack("<I", crc))
 
 
-def read_archive(path) -> dict[str, np.ndarray]:
-    """Read a HITW container, verifying the payload checksum."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 14 or blob[:4] != MAGIC:
+def _read_manifest(fh, path) -> dict[str, tuple[np.dtype, tuple[int, ...]]]:
+    """Each tensor's stored dtype and shape by name, in manifest order, with
+    ``fh`` left at the first payload byte; a duplicated name is rejected."""
+    head = fh.read(10)
+    if len(head) < 10 or head[:4] != MAGIC:
         raise DataError(f"{path}: not a HITW weight archive")
-    version, count = struct.unpack_from("<HI", blob, 4)
+    version, count = struct.unpack_from("<HI", head, 4)
     if version != VERSION:
         raise DataError(f"{path}: unsupported archive version {version}")
-    offset = 10
-    entries = []
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            code, ndim = struct.unpack_from("<BB", blob, offset)
-            offset += 2
-            shape = struct.unpack_from(f"<{ndim}I", blob, offset) if ndim else ()
-            offset += 4 * ndim
-            if code not in _DTYPE_CODES:
-                raise DataError(f"{path}: unknown dtype code {code} for tensor {name!r}")
-            entries.append((name, code, shape))
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: malformed archive manifest ({exc})") from exc
-    payload_start = offset
-    payload_end = len(blob) - 4
-    if payload_end < payload_start:
-        raise DataError(f"{path}: archive truncated inside the manifest")
-    (stored_crc,) = struct.unpack_from("<I", blob, payload_end)
-    payload = blob[payload_start:payload_end]
-    if zlib.crc32(payload) & 0xFFFFFFFF != stored_crc:
-        raise DataError(f"{path}: payload checksum mismatch, archive is corrupt")
-    tensors = {}
-    pos = 0
-    for name, code, shape in entries:
-        dtype = _DTYPE_CODES[code]
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = n * dtype.itemsize
-        if pos + nbytes > len(payload):
-            raise DataError(f"{path}: payload truncated at tensor {name!r}")
-        tensors[name] = np.frombuffer(payload[pos:pos + nbytes], dtype=dtype).reshape(shape).copy()
-        pos += nbytes
-    if pos != len(payload):
-        raise DataError(f"{path}: {len(payload) - pos} trailing payload bytes")
-    return tensors
+
+    def take(fmt):
+        data = fh.read(struct.calcsize(fmt))
+        if len(data) != struct.calcsize(fmt):
+            raise DataError(f"{path}: archive truncated inside the manifest")
+        return struct.unpack(fmt, data)
+
+    entries = {}
+    for _ in range(count):
+        (name_len,) = take("<H")
+        try:
+            name = take(f"<{name_len}s")[0].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: malformed archive manifest ({exc})") from exc
+        code, ndim = take("<BB")
+        shape = take(f"<{ndim}I")
+        if code not in _DTYPE_CODES:
+            raise DataError(f"{path}: unknown dtype code {code} for tensor {name!r}")
+        if name in entries:
+            raise DataError(f"{path}: tensor {name!r} appears twice in the manifest")
+        entries[name] = (_DTYPE_CODES[code], shape)
+    return entries
 
 
 def save_weights(path, params: ModelParams) -> None:
@@ -341,25 +323,42 @@ def save_weights(path, params: ModelParams) -> None:
 
 
 def load_weights(path, config: ModelConfig) -> ModelParams:
-    """Rebuild a parameter tree from an archive, validating against config."""
-    tensors = read_archive(path)
+    """Rebuild a parameter tree from an archive, validating against config.
+
+    Every name and shape is checked against the config's tree before a
+    payload byte is read. Each tensor is then read straight into its slot
+    (through one scratch tensor when stored in the other dtype) under a
+    running CRC32, so the weights are held once.
+    """
     params = zero_weights(config)
-    slots = list(_named_slots(params))
-    expected = {name for name, _, _ in slots}
-    missing = expected - tensors.keys()
-    extra = tensors.keys() - expected
-    if missing or extra:
-        raise ShapeError(
-            f"{path}: archive does not match config {config.variant!r} "
-            f"(missing {sorted(missing)[:3]}, unexpected {sorted(extra)[:3]})"
-        )
-    for name, parent, key in slots:
-        current = getattr(parent, key)
-        stored = tensors[name]
-        if tuple(stored.shape) != tuple(current.shape):
+    slots = {name: getattr(parent, key) for name, parent, key in _named_slots(params)}
+    with open(path, "rb") as fh:
+        entries = _read_manifest(fh, path)
+        missing = slots.keys() - entries.keys()
+        extra = entries.keys() - slots.keys()
+        if missing or extra:
             raise ShapeError(
-                f"{path}: tensor {name!r} has shape {tuple(stored.shape)}, "
-                f"config {config.variant!r} expects {tuple(current.shape)}"
+                f"{path}: archive does not match config {config.variant!r} "
+                f"(missing {sorted(missing)[:3]}, unexpected {sorted(extra)[:3]})"
             )
-        setattr(parent, key, stored.astype(config.np_dtype))
+        for name, (_, shape) in entries.items():
+            if shape != slots[name].shape:
+                raise ShapeError(
+                    f"{path}: tensor {name!r} has shape {shape}, "
+                    f"config {config.variant!r} expects {slots[name].shape}"
+                )
+        crc = 0
+        for name, (dtype, shape) in entries.items():
+            slot = slots[name]
+            buf = slot if slot.dtype == dtype else np.empty(shape, dtype=dtype)
+            if fh.readinto(buf) != buf.nbytes:
+                raise DataError(f"{path}: payload truncated at tensor {name!r}")
+            crc = zlib.crc32(buf, crc)
+            if buf is not slot:
+                slot[...] = buf
+        trailer = fh.read(5)
+    if len(trailer) != 4:
+        raise DataError(f"{path}: archive does not end in a 4-byte checksum after the payload")
+    if crc != struct.unpack("<I", trailer)[0]:
+        raise DataError(f"{path}: payload checksum mismatch, archive is corrupt")
     return params

@@ -316,6 +316,56 @@ class TestConfigFile:
         assert main(["flops", "--config", str(cfg)]) == cli.DATA_ERROR
         assert repr(line.split(" ")[0]) in capsys.readouterr().err
 
+    @staticmethod
+    def observe(probe, tmp_path, capsys, *argv):
+        """What a run shows of its options: the flops header, infer's output
+        (its T: line and box) or track's decisions file."""
+        if probe == "flops":
+            assert main(["flops", *argv]) == 0
+            return capsys.readouterr().out.splitlines()[0]
+        if probe == "infer":
+            assert main(["infer", "--variant", "toy", *write_pair(tmp_path), *argv]) == 0
+            return capsys.readouterr().out
+        decisions = tmp_path / "decisions.csv"
+        assert main(["track", "--variant", "toy", "--synth", "5:0:6", "--tracker", "dyhit",
+                     "--out", str(tmp_path / "o.txt"), "--decisions-out", str(decisions), *argv]) == 0
+        return decisions.read_text()
+
+    @pytest.mark.parametrize("key, file_value, flag, flag_value, probe", [
+        ("variant", "toy", "--variant", "tiny", "flops"),
+        ("dtype", "float64", "--dtype", "float32", "flops"),
+        ("threshold", "0.25", "--threshold", "0.75", "infer"),
+        ("seed", "7", "--seed", "3", "infer"),
+        ("tau_fg", "0.3", "--tau-fg", "0.5", "track"),
+        ("classify_every_n", "2", "--classify-every-n", "3", "track"),
+    ])
+    def test_flag_beats_file_beats_default(self, tmp_path, capsys, key, file_value, flag,
+                                           flag_value, probe):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {file_value}\n")
+
+        def observe(*argv):
+            return self.observe(probe, tmp_path, capsys, *argv)
+
+        default = observe()
+        from_file = observe("--config", str(config))
+        from_flag = observe(flag, flag_value)
+        assert from_file != default
+        assert observe("--config", str(config), flag, flag_value) == from_flag != from_file
+
+    def test_file_only_keys_reach_the_config(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("variant = toy\ntemplate_size = 128\nsearch_size = 192\nkey_dim = 16\n")
+        assert main(["flops", "--config", str(config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "variant: toy  (template 128, search 192, float32)"
+        total = next(line.split() for line in lines if line.startswith("total"))
+        cfg = hitrack.make_config("toy", template_size=128, search_size=192, key_dim=16)
+        report = hitrack.flop_account(cfg)
+        assert total[1:3] == [f"{report.total_macs:,}", f"{report.total_params:,}"]
+        assert report.total_params != hitrack.flop_account(
+            hitrack.make_config("toy", template_size=128, search_size=192)).total_params
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("variant toy\n")
@@ -470,6 +520,47 @@ class TestExitCodes:
     def test_missing_file_is_3(self, tmp_path):
         assert main(["eval", "--pred", str(tmp_path / "none.txt"),
                      "--gt", str(tmp_path / "none.txt")]) == cli.DATA_ERROR
+
+    @pytest.mark.parametrize("entry", ["flops --config", "eval --pred", "eval --gt", "track --gt",
+                                       "track --base-results"])
+    def test_non_utf8_text_is_3(self, seq_dir, tmp_path, capsys, entry):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1,2,3,4\n\xff\n")
+        good = seq_dir / "groundtruth.txt"
+        command, option = entry.split()
+        argv = {
+            "flops": ["flops"],
+            "eval": ["eval", "--pred", str(good), "--gt", str(good)],
+            "track": ["track", "--variant", "toy", "--frames", str(seq_dir), "--tracker", "dytracker",
+                      "--base-results", str(good), "--out", str(tmp_path / "o.txt")],
+        }[command] + [option, str(bad)]
+        assert main(argv) == cli.DATA_ERROR
+        captured = capsys.readouterr()
+        assert "bad.txt: not UTF-8 text" in captured.err
+        assert "AO" not in captured.out and not (tmp_path / "o.txt").exists()
+
+    def test_negative_epochs_is_3(self, tmp_path, capsys):
+        out = tmp_path / "r.hitw"
+        code = main(["fit-router", "--variant", "toy", "--synth", "1:0:5", "--epochs", "-3",
+                     "--out", str(out)])
+        assert code == cli.DATA_ERROR
+        assert "epochs must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corrupt", ["duplicate", "truncate"])
+    def test_malformed_archive_through_track_is_3(self, seq_dir, tmp_path, capsys, corrupt):
+        tensors = weights.named_arrays(weights.init_weights(hitrack.make_config("toy"), 7))
+        path = tmp_path / "bad.hitw"
+        if corrupt == "duplicate":
+            weights.write_archive(path, tensors + [("router.b1", np.full_like(dict(tensors)["router.b1"], 9.0))])
+        else:
+            weights.write_archive(path, tensors)
+            path.write_bytes(path.read_bytes()[:-100])
+        out = tmp_path / "o.txt"
+        assert main(["track", "--variant", "toy", "--weights", str(path), "--frames", str(seq_dir),
+                     "--out", str(out)]) == cli.DATA_ERROR
+        assert "bad.hitw" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_weights_is_3(self, seq_dir, tmp_path):
         bad = tmp_path / "bad.hitw"

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hitrack import weights
 from hitrack.errors import DataError, ShapeError
 from hitrack.routing import ROUTE2
 from hitrack.weights import (count_params, init_weights, load_weights, named_arrays,
-                             read_archive, save_weights, write_archive)
+                             save_weights, write_archive)
 
 
 def reference_maker(seed):
@@ -131,11 +132,11 @@ class TestArchive:
         with pytest.raises(ShapeError, match="router.b1"):
             load_weights(path, toy_cfg)
 
-    def test_not_an_archive(self, tmp_path):
+    def test_not_an_archive(self, toy_cfg, tmp_path):
         path = tmp_path / "junk.hitw"
         path.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(DataError):
-            read_archive(path)
+            load_weights(path, toy_cfg)
 
     def test_idempotent_save(self, toy_cfg, tmp_path):
         params = init_weights(toy_cfg, seed=3)
@@ -159,3 +160,109 @@ class TestArchive:
         again = load_weights(path, toy_cfg64)
         for (_, ta), (_, tb) in zip(named_arrays(params), named_arrays(again)):
             assert ta.dtype == tb.dtype and np.array_equal(ta, tb)
+
+
+def corrupt_magic(blob):
+    blob[:4] = b"HITX"
+
+
+def corrupt_version(blob):
+    struct.pack_into("<H", blob, 4, 2)
+
+
+def corrupt_dtype_code(blob):
+    (name_len,) = struct.unpack_from("<H", blob, 10)
+    blob[12 + name_len] = 7  # the first tensor's dtype code
+
+
+def truncate_manifest(blob):
+    del blob[20:]
+
+
+def truncate_payload(blob):
+    del blob[-100:]
+
+
+def append_trailing_byte(blob):
+    blob += b"\0"
+
+
+def flip_payload_byte(blob):
+    blob[len(blob) // 2] ^= 0x01
+
+
+class TestOnePassLoad:
+    """``load_weights`` checks the manifest against the config, then reads
+    each tensor straight into the tree under a running checksum."""
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (corrupt_magic, "not a HITW weight archive"),
+        (corrupt_version, "unsupported archive version 2"),
+        (corrupt_dtype_code, "unknown dtype code 7"),
+        (truncate_manifest, "truncated inside the manifest"),
+        (truncate_payload, "truncated"),
+        (append_trailing_byte, "checksum"),
+        (flip_payload_byte, "checksum mismatch"),
+    ])
+    def test_corrupt_archive_is_data_error(self, toy_cfg, tmp_path, corrupt, message):
+        path = tmp_path / "toy.hitw"
+        save_weights(path, init_weights(toy_cfg, seed=3))
+        blob = bytearray(path.read_bytes())
+        corrupt(blob)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=message):
+            load_weights(path, toy_cfg)
+
+    def test_duplicated_name_rejected(self, toy_cfg, tmp_path):
+        tensors = named_arrays(init_weights(toy_cfg, seed=3))
+        nines = np.full_like(dict(tensors)["router.b1"], 9.0)
+        path = tmp_path / "dup.hitw"
+        write_archive(path, tensors + [("router.b1", nines)])
+        with pytest.raises(DataError, match="'router.b1' appears twice"):
+            load_weights(path, toy_cfg)
+
+    def test_mismatch_reported_before_checksum(self, toy_cfg, tmp_path):
+        path = tmp_path / "toy.hitw"
+        save_weights(path, init_weights(toy_cfg, seed=3))
+        blob = bytearray(path.read_bytes())
+        flip_payload_byte(blob)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ShapeError):
+            load_weights(path, hitrack.make_config("small"))
+
+    @pytest.mark.parametrize("stored, loaded", [("float64", "float32"), ("float32", "float64")])
+    def test_cross_dtype_load_equals_astype(self, tmp_path, stored, loaded):
+        params = init_weights(hitrack.make_config("toy", dtype=stored), seed=7)
+        path = tmp_path / "toy.hitw"
+        save_weights(path, params)
+        again = load_weights(path, hitrack.make_config("toy", dtype=loaded))
+        for (name, got), (_, want) in zip(named_arrays(again), named_arrays(params)):
+            assert got.dtype == np.dtype(loaded), name
+            assert got.tobytes() == want.astype(loaded).tobytes(), name
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        """Peak bytes ``fn`` allocates above what is live when it starts."""
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            result = fn(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak - start
+
+    @pytest.mark.parametrize("variant", ["tiny", "base"])
+    def test_save_scratch_is_bounded(self, tmp_path, variant):
+        params = init_weights(hitrack.make_config(variant), seed=7)
+        _, peak = self.traced_peak(save_weights, tmp_path / "w.hitw", params)
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("variant", ["tiny", "base"])
+    def test_load_holds_the_weights_once(self, tmp_path, variant):
+        cfg = hitrack.make_config(variant)
+        path = tmp_path / "w.hitw"
+        save_weights(path, init_weights(cfg, seed=7))
+        params, peak = self.traced_peak(load_weights, path, cfg)
+        param_bytes = sum(a.nbytes for _, a in named_arrays(params))
+        assert peak - param_bytes < 8 * 2**20
