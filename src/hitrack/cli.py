@@ -105,6 +105,7 @@ def _add_tracking_args(p, tracker):
     p.add_argument("--tracker", choices=("full", "route1", "dyhit", "dytracker"), default=tracker)
     p.add_argument("--threshold", type=float)
     p.add_argument("--base-results", help="per-frame x,y,w,h file for the dytracker base")
+    p.add_argument("--classify-every-n", type=int)
 
 
 def _fields(text, sep, n, what, cast=int):
@@ -277,6 +278,7 @@ def cmd_flops(args):
 
 
 def cmd_fit_router(args):
+    objectives.check_epochs(args.epochs)
     cfg, params = _model(args)
     sequences = [runtime.gen_synthetic(*spec) for spec in args.synth]
     features, targets = objectives.label_router_samples(sequences, params)
@@ -323,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     _add_tracking_args(p, "dyhit")
     p.add_argument("--init-box", type=_box, help="x,y,w,h for frame 1 (default: first gt line)")
-    p.add_argument("--classify-every-n", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--decisions-out")
     p.set_defaults(func=cmd_track)

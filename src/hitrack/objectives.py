@@ -17,7 +17,7 @@ fit at this scale: full-batch gradient descent on the MSE term through the
 three linear layers, with hand-derived gradients verified against central
 differences by ``grad_check``. Its training set comes from
 ``label_router_samples``: stage-1 search features of sampled frames, each
-token labelled by ``label_router_targets`` from the fast route's box.
+token labelled by ``label_router_targets`` from Head1's box.
 """
 from __future__ import annotations
 
@@ -149,40 +149,31 @@ def label_router_targets(grid_hw, gt, route1_pred):
     return targets, positive
 
 
-def label_router_samples(sequences, params: ModelParams, fast_routes=None):
+def label_router_samples(sequences, params: ModelParams):
     """Router training set from sequences with ground truth: (features, targets).
 
     Every ``LABEL_STRIDE``-th frame after the first is cropped around the
     previous ground-truth box, and one template embed per sequence serves
     all its frames. Each crop's stage-1 search tokens are labelled by
-    ``label_router_targets`` from the fast route's box. The fast route is
-    Head1 unless ``fast_routes`` gives one base tracker per sequence
-    (``init``, then ``predict`` in frame pixels), which is how a test models
-    a fast route of known accuracy.
+    ``label_router_targets`` from Head1's box.
 
     Returns features [N, C1] in the config dtype and targets [N], one row
     per search token of each labelled frame.
     """
     cfg = params.config
     features, targets = [], []
-    for si, seq in enumerate(sequences):
+    for seq in sequences:
         frames = seq.frames
         gt = [tuple(b) for b in seq.boxes]
-        fast = None if fast_routes is None else fast_routes[si]
-        if fast is not None:
-            fast.init(frames[0], gt[0])
         template, _ = runtime.crop_resize(frames[0], gt[0], TEMPLATE_FACTOR, cfg.template_size)
         grid = embed_template(template, params)
         for t in range(1, len(gt), LABEL_STRIDE):
             patch, mapping = runtime.crop_resize(frames[t], gt[t - 1], SEARCH_FACTOR,
                                                  cfg.search_size)
             state = stage1_forward(grid, patch, params)
-            if fast is None:
-                pred = route_head(state, params, ROUTE1).corners
-            else:
-                pred = runtime.map_box_to_crop(fast.predict(t, frames[t], gt[t - 1]), mapping)
             labels, _ = label_router_targets(state.s_max.shape[:2],
-                                             runtime.map_box_to_crop(gt[t], mapping), pred)
+                                             runtime.map_box_to_crop(gt[t], mapping),
+                                             route_head(state, params, ROUTE1).corners)
             features.append(state.s_max.reshape(-1, state.s_max.shape[2]))
             targets.append(labels.reshape(-1))
     if not features:
@@ -223,6 +214,12 @@ def _router_forward_full(x, w: RouterWeights):
     return z1, a1, z2, a2, z3, sigmoid(z3)[:, 0]
 
 
+def check_epochs(epochs) -> None:
+    """A negative epoch count is a DataError (``fit-router`` checks it before labelling)."""
+    if epochs < 0:
+        raise DataError(f"epochs must be >= 0, got {epochs}")
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def fit_router(features, targets, lr: float, epochs: int, seed: int,
                hidden=(96, 32), tau_fg: float = 0.6):
@@ -241,8 +238,7 @@ def fit_router(features, targets, lr: float, epochs: int, seed: int,
         raise DataError("empty router training set")
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
-    if epochs < 0:
-        raise DataError(f"epochs must be >= 0, got {epochs}")
+    check_epochs(epochs)
     n, dim = x.shape
     h1, h2 = int(hidden[0]), int(hidden[1])
     rng = np.random.default_rng(seed)

@@ -15,12 +15,13 @@ bridge and Head2. The tie F == T deliberately takes the full route.
 
 ``forward`` runs one template/search pair and ``Tracker`` a sequence. Both
 take a fixed ``route`` (ROUTE1 or ROUTE2; the router never runs) or
-``route=None`` (the router decides at the threshold). The same decision
-gates an arbitrary base tracker (``dytracker``): easy frames are answered by
-the fast route, hard frames are re-predicted by the base tracker from the
-raw frame (fast-route features are never fed to it). ``ReplayBaseTracker``
-answers frame i with the i-th stored box: an external tracker's output or
-jittered ground truth.
+``route=None`` (the router decides at the threshold). A tracker answers each
+route's frames from one place: the answerer mapped to that route, else
+``route_head``. Mapping ROUTE2 to a base tracker gates it (``dytracker``):
+easy frames are answered by the fast route, hard frames are re-predicted by
+the base tracker from the raw frame (fast-route features are never fed to
+it). ``ReplayBaseTracker`` answers frame i with the i-th stored box: an
+external tracker's output or jittered ground truth.
 """
 from __future__ import annotations
 
@@ -186,7 +187,7 @@ SEARCH_FACTOR = 4.0
 MIN_CROP_EXTENT = 2.0  # pixels
 
 
-def crop_reference(box, min_extent: float = MIN_CROP_EXTENT):
+def crop_reference(box):
     """Previous-output box made crop-safe: extents floored, center kept.
 
     Untrained heads may emit inverted corners; the reported box keeps them,
@@ -195,8 +196,8 @@ def crop_reference(box, min_extent: float = MIN_CROP_EXTENT):
     x, y, w, h = (float(v) for v in box)
     cx = x + w / 2.0
     cy = y + h / 2.0
-    w = max(w, min_extent)
-    h = max(h, min_extent)
+    w = max(w, MIN_CROP_EXTENT)
+    h = max(h, MIN_CROP_EXTENT)
     return (cx - w / 2.0, cy - h / 2.0, w, h)
 
 
@@ -206,20 +207,22 @@ class Tracker:
     ``route`` fixes the route (ROUTE1 or ROUTE2) and the router never runs;
     the decision is then None. Otherwise the router decides at ``threshold``,
     running on every ``config.classify_every_n``-th step and reusing its last
-    decision in between. ``base`` answers route-2 frames from the raw frame
-    (fast-route features are never fed to it); ``route1_override`` answers
-    route-1 frames (used by tests to model a fast tracker of known accuracy).
-    Any other frame is answered by ``route_head``.
+    decision in between. ``answerers`` maps a route to the object that
+    answers its frames from the raw frame, with ``init(frame, box)`` and
+    ``predict(frame_index, frame, prev_box)``; stage-1 features are never fed
+    to it. A route without an answerer is answered by ``route_head``.
     """
 
     def __init__(self, params: ModelParams, threshold: float = 0.5, route: str | None = None,
-                 base=None, route1_override=None):
+                 answerers=None):
         _check_route(route)
+        self.answerers = dict(answerers or {})
+        for key in self.answerers:
+            if key not in (ROUTE1, ROUTE2):
+                raise DataError(f"answerer for unknown route {key!r}")
         self.params = params
         self.threshold = _check_threshold(threshold)
         self.route = route
-        self.base = base
-        self.route1_override = route1_override
         self.template_grid = None  # template embed is fixed per sequence
         self._last: RouteDecision | None = None
         self._steps = 0
@@ -230,9 +233,8 @@ class Tracker:
         self.template_grid = embed_template(template, self.params)
         self._last = None
         self._steps = 0
-        for helper in (self.base, self.route1_override):
-            if helper is not None:
-                helper.init(frame, box)
+        for answerer in self.answerers.values():
+            answerer.init(frame, box)
 
     def step(self, frame, frame_index, prev_box):
         """One frame: (box_xywh, RouteDecision | None, seconds after the crop)."""
@@ -251,12 +253,11 @@ class Tracker:
             self._last = decision
             self._steps += 1
             route = decision.route
-        if route == ROUTE2 and self.base is not None:
-            box = self.base.predict(frame_index, frame, prev_box)
-        elif route == ROUTE1 and self.route1_override is not None:
-            box = self.route1_override.predict(frame_index, frame, prev_box)
-        else:
+        answerer = self.answerers.get(route)
+        if answerer is None:
             box = runtime.map_box_to_frame(route_head(state, params, route).corners, mapping)
+        else:
+            box = answerer.predict(frame_index, frame, prev_box)
         dt = time.perf_counter() - t0
         if not np.isfinite(box).all():
             raise NumericError(f"non-finite box {box} at frame {frame_index + 1}")
@@ -273,5 +274,5 @@ def make_tracker(kind: str, params: ModelParams, threshold: float = 0.5, base=No
     if kind == "dytracker":
         if base is None:
             raise DataError("dytracker needs a base tracker")
-        return Tracker(params, threshold, base=base)
+        return Tracker(params, threshold, answerers={ROUTE2: base})
     raise DataError(f"unknown tracker kind {kind!r}")

@@ -15,6 +15,16 @@ def toy_params(toy_cfg):
 
 
 @pytest.fixture(scope="session")
+def tiny_cfg():
+    return make_config("tiny")
+
+
+@pytest.fixture(scope="session")
+def tiny_params(tiny_cfg):
+    return init_weights(tiny_cfg, seed=7)
+
+
+@pytest.fixture(scope="session")
 def toy_cfg64():
     return make_config("toy", dtype="float64")
 

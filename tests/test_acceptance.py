@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Everything uses the toy variant unless a criterion is about the
 base-like configuration, whose checks are closed-form, or about numerics that
-only show on the larger variants.
+only show on the larger variants. The ``_tiny`` tests repeat the cheap toy
+criteria (1, 6, 11, 12) on the tiny variant.
 """
 import numpy as np
 import pytest
@@ -48,6 +49,20 @@ def test_c01_dispatch_endpoints(toy_cfg, toy_params):
         assert np.array_equal(full.tl_heatmap, plain.tl_heatmap)
         assert np.array_equal(full.br_heatmap, plain.br_heatmap)
     ok(1, "100 random pairs: T=0 bit-identical to Route1, T=1 bit-identical to the full forward")
+
+
+def test_c01_dispatch_endpoints_tiny(tiny_cfg, tiny_params):
+    rng = np.random.default_rng(101)
+    for _ in range(10):
+        tpl, srch = random_pair(rng, tiny_cfg)
+        for threshold, route in ((0.0, ROUTE1), (1.0, ROUTE2)):
+            gated, decision = forward(tpl, srch, tiny_params, threshold=threshold)
+            alone, _ = forward(tpl, srch, tiny_params, route=route)
+            assert decision.route == route
+            assert gated.corners == alone.corners
+            assert np.array_equal(gated.tl_heatmap, alone.tl_heatmap)
+            assert np.array_equal(gated.br_heatmap, alone.br_heatmap)
+    ok(1, "tiny: 10 random pairs: T=0 bit-identical to Route1, T=1 bit-identical to the full forward")
 
 
 def test_c02_position_encoding():
@@ -167,6 +182,22 @@ def test_c06_cost_accounting(toy_cfg, toy_params, toy_pair):
           "accountant == instrumented counters exactly")
 
 
+def test_c06_cost_accounting_tiny(tiny_cfg, tiny_params):
+    report = flop_account(tiny_cfg)
+    modules = {k: c.macs for k, c in report.modules.items()}
+    extras = {k: c.macs for k, c in report.extras.items()}
+    fast = {"embed": modules["embed"], "stage1": modules["stage1"], "head1": extras["head1"]}
+    pair = random_pair(np.random.default_rng(106), tiny_cfg)
+    for route, want in ((ROUTE1, fast), (ROUTE2, modules)):
+        with tensor.count_macs() as counter:
+            forward(*pair, tiny_params, route=route)
+        assert counter.counts == want, route
+    with tensor.count_macs() as counter:
+        forward(*pair, tiny_params, threshold=0.0)
+    assert counter.counts == {**fast, "router": extras["router"]}
+    ok(6, "tiny: per-label MACs equal the accountant on Route1, the full route and the router")
+
+
 def test_c07_router_fitting():
     features, targets = make_separable_dataset(seed=107)
     fitted, losses = objectives.fit_router(features, targets, lr=1e-2, epochs=200, seed=0)
@@ -199,10 +230,11 @@ def test_c08_sweep_monotonicity_and_speedup(toy_params, synthetic_suite):
 def test_c09_dytracker_gating(toy_cfg, synthetic_suite):
     params = init_weights(toy_cfg, seed=7)
 
+    from test_objectives import reference_labels
+
     # fit the router on real stage-1 features labeled from the noisy fast route
-    noisy = [routing.oracle_base_tracker([tuple(b) for b in seq.boxes], 0.15, seed=1000 + si)
-             for si, seq in enumerate(synthetic_suite)]
-    feats, targs = objectives.label_router_samples(synthetic_suite, params, noisy)
+    feats, targs = reference_labels(synthetic_suite, params,
+                                    [1000 + si for si in range(len(synthetic_suite))])
     fitted, losses = objectives.fit_router(
         feats, targs,
         lr=1e-2, epochs=150, seed=0, hidden=toy_cfg.router_hidden, tau_fg=toy_cfg.tau_fg)
@@ -226,7 +258,7 @@ def test_c09_dytracker_gating(toy_cfg, synthetic_suite):
         gt = [tuple(b) for b in seq.boxes]
         noisy = routing.oracle_base_tracker(gt, 0.15, seed=1000 + si)
         base = routing.oracle_base_tracker(gt, 0.02, seed=2000 + si)
-        tracker = Tracker(params, threshold, base=base, route1_override=noisy)
+        tracker = Tracker(params, threshold, answerers={ROUTE1: noisy, ROUTE2: base})
         result = runtime.track_sequence(list(seq.frames), gt[0], tracker)
         routes.extend(d.route for d in result.decisions)
         dyt_ious.extend(iou_xywh(p, g) for p, g in zip(result.boxes, gt))
@@ -274,6 +306,18 @@ def test_c11_worst_case_overhead(toy_cfg, toy_params, toy_pair):
     ok(11, f"T=1 dispatch costs exactly the full forward plus the router's {router_macs:,} MACs")
 
 
+def test_c11_worst_case_overhead_tiny(tiny_cfg, tiny_params):
+    pair = random_pair(np.random.default_rng(111), tiny_cfg)
+    with tensor.count_macs() as plain:
+        forward(*pair, tiny_params, route=ROUTE2)
+    with tensor.count_macs() as gated:
+        forward(*pair, tiny_params, threshold=1.0)
+    router_macs = flop_account(tiny_cfg).extras["router"].macs
+    assert gated.total - plain.total == router_macs
+    assert gated.get("router") == router_macs
+    ok(11, f"tiny: T=1 dispatch costs exactly the full forward plus the router's {router_macs:,} MACs")
+
+
 def test_c12_serialization(toy_cfg, tmp_path):
     params = init_weights(toy_cfg, seed=12)
     path = tmp_path / "weights.hitw"
@@ -287,6 +331,20 @@ def test_c12_serialization(toy_cfg, tmp_path):
     with pytest.raises(DataError):
         load_weights(path, toy_cfg)
     ok(12, "archive round-trips bit-exactly; corrupted payload checksum rejected")
+
+
+def test_c12_serialization_tiny(tiny_cfg, tiny_params, tmp_path):
+    path = tmp_path / "weights.hitw"
+    save_weights(path, tiny_params)
+    again = load_weights(path, tiny_cfg)
+    for (na, ta), (nb, tb) in zip(named_arrays(tiny_params), named_arrays(again)):
+        assert na == nb and np.array_equal(ta, tb)
+    blob = bytearray(path.read_bytes())
+    blob[-40] ^= 0xA5
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="checksum"):
+        load_weights(path, tiny_cfg)
+    ok(12, "tiny: archive round-trips bit-exactly; corrupted payload checksum rejected")
 
 
 @pytest.mark.parametrize("variant", ["tiny", "base"])

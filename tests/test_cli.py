@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hitrack
-from hitrack import cli, objectives, runtime, weights
+from hitrack import cli, evalbench, objectives, runtime, weights
 from hitrack.cli import main
 from hitrack.errors import DataError
 
@@ -190,6 +190,21 @@ class TestSweepBenchFlops:
                      "--tracker", "route1", "--warmup", "1", "--reps", "1"]) == 0
         printed = capsys.readouterr().out
         assert "fps:" in printed
+
+    def test_bench_classify_every_n(self, monkeypatch):
+        seen = []
+        latency_bench = evalbench.latency_bench
+
+        def spy(tracker, *args, **kwargs):
+            seen.append(tracker.params.config.classify_every_n)
+            return latency_bench(tracker, *args, **kwargs)
+
+        monkeypatch.setattr(evalbench, "latency_bench", spy)
+        argv = ["bench", "--variant", "toy", "--seed", "7", "--synth", "5:0:5", "--tracker", "dyhit",
+                "--warmup", "0", "--reps", "1", "--classify-every-n"]
+        assert main(argv + ["2"]) == 0
+        assert seen == [2]
+        assert main(argv + ["0"]) == cli.DATA_ERROR
 
     @staticmethod
     def flops_rows(capsys, dtype, itemsize):
@@ -546,6 +561,16 @@ class TestExitCodes:
         assert code == cli.DATA_ERROR
         assert "epochs must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_epochs_rejected_before_labelling(self, tmp_path, capsys, monkeypatch):
+        def labelled(*args):
+            raise AssertionError("labelled before the epochs check")
+
+        monkeypatch.setattr(objectives, "label_router_samples", labelled)
+        code = main(["fit-router", "--variant", "toy", "--synth", "1:0:5", "--epochs", "-3",
+                     "--out", str(tmp_path / "r.hitw")])
+        assert code == cli.DATA_ERROR
+        assert "epochs must be >= 0, got -3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("corrupt", ["duplicate", "truncate"])
     def test_malformed_archive_through_track_is_3(self, seq_dir, tmp_path, capsys, corrupt):

@@ -280,17 +280,33 @@ class TestDyTracker:
         noisy = oracle_base_tracker(gt, 0.15, seed=7)
         base = oracle_base_tracker(gt, 0.02, seed=8)
         # threshold at the median F so both branches fire
-        probe = Tracker(toy_params, 0.5, base=oracle_base_tracker(gt, 0.02, seed=8),
-                        route1_override=oracle_base_tracker(gt, 0.15, seed=7))
+        probe = Tracker(toy_params, 0.5, answerers={ROUTE1: oracle_base_tracker(gt, 0.15, seed=7),
+                                                    ROUTE2: oracle_base_tracker(gt, 0.02, seed=8)})
         result = runtime.track_sequence(frames, gt[0], probe)
         t = float(np.median([d.f for d in result.decisions]))
-        tracker = Tracker(toy_params, t, base=base, route1_override=noisy)
+        tracker = Tracker(toy_params, t, answerers={ROUTE1: noisy, ROUTE2: base})
         result = runtime.track_sequence(frames, gt[0], tracker)
         routes = [d.route for d in result.decisions]
         assert routing.ROUTE1 in routes and routing.ROUTE2 in routes
         for idx, (box, d) in enumerate(zip(result.boxes[1:], result.decisions), start=1):
             expect = (noisy if d.route == routing.ROUTE1 else base).predict(idx, None, None)
             assert box == expect
+
+    def test_answerer_dispatch_on_tiny(self, tiny_params):
+        frames, gt = self.make_suite()
+        chosen = {ROUTE1: oracle_base_tracker(gt, 0.15, seed=7),
+                  ROUTE2: oracle_base_tracker(gt, 0.02, seed=8)}
+        # threshold at the median F so both answerers fire
+        probe = runtime.track_sequence(frames, gt[0], Tracker(tiny_params, 0.5, answerers=chosen))
+        t = float(np.median([d.f for d in probe.decisions]))
+        result = runtime.track_sequence(frames, gt[0], Tracker(tiny_params, t, answerers=chosen))
+        routes = [d.route for d in result.decisions]
+        assert ROUTE1 in routes and ROUTE2 in routes
+        for idx, (box, d) in enumerate(zip(result.boxes[1:], result.decisions), start=1):
+            assert box == chosen[d.route].predict(idx, None, None)
+        for key in ("route3", None):
+            with pytest.raises(DataError, match="unknown route"):
+                Tracker(tiny_params, t, answerers={key: chosen[ROUTE2]})
 
     def test_route_log_matches_offline_recomputation(self, toy_params):
         frames, gt = self.make_suite()
@@ -409,7 +425,7 @@ class TestTrackerGlue:
         assert make_tracker("route1", toy_params).route == ROUTE1
         assert make_tracker("full", toy_params).route == ROUTE2
         dyhit = make_tracker("dyhit", toy_params, 0.5)
-        assert dyhit.route is None and dyhit.base is None
+        assert dyhit.route is None and not dyhit.answerers
         with pytest.raises(DataError):
             Tracker(toy_params, route="route3")
         with pytest.raises(DataError):
@@ -422,11 +438,6 @@ class TestTrackerGlue:
     def test_threshold_rejected_at_construction(self, toy_params, kind, threshold):
         with pytest.raises(DataError):
             make_tracker(kind, toy_params, threshold, base=oracle_base_tracker([(0, 0, 1, 1)], 0.0, 0))
-
-
-@pytest.fixture(scope="module")
-def tiny_params():
-    return init_weights(hitrack.make_config("tiny"), seed=7)
 
 
 class TestStepWritesNoInput:
