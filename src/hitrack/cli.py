@@ -284,8 +284,6 @@ def cmd_fit_router(args):
     features, targets = objectives.label_router_samples(sequences, params)
     fitted, losses = objectives.fit_router(features, targets, args.lr, args.epochs, args.seed,
                                            hidden=cfg.router_hidden, tau_fg=cfg.tau_fg)
-    for key in ("w1", "b1", "w2", "b2", "w3", "b3"):
-        setattr(fitted, key, getattr(fitted, key).astype(cfg.np_dtype))
     params.router = fitted
     weights.save_weights(args.out, params)
     positives = int((targets > 0).sum())
@@ -376,10 +374,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except HitrackError as exc:
+    except (HitrackError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -126,6 +126,8 @@ class ModelConfig:
                 raise ShapeError(f"input sizes must be divisible by 64, got {size}")
         if self.dtype not in DTYPES:
             raise ShapeError(f"unknown dtype {self.dtype!r}")
+        if self.key_dim < 1:
+            raise ShapeError(f"key_dim must be >= 1, got {self.key_dim}")
         if c1 % 8:
             raise ShapeError(f"C1 must be divisible by 8 for the embed/head channel ramps, got {c1}")
         if self.classify_every_n < 1:

@@ -298,7 +298,8 @@ class SweepRow:
 
 
 def threshold_sweep(t_grid, sequences, params) -> list[SweepRow]:
-    """One row per threshold over a suite of (frames, gt-boxes) sequences.
+    """One row per threshold over a suite of sequences with ``frames`` and
+    ground-truth ``boxes`` (``runtime.gen_synthetic`` sequences).
 
     Boxes and routing are deterministic given the sequences; only the fps
     column varies between runs.
@@ -306,10 +307,8 @@ def threshold_sweep(t_grid, sequences, params) -> list[SweepRow]:
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
         raise DataError("empty threshold grid")
-    suite = []
-    for seq in sequences:
-        frames, gt = (seq.frames, seq.boxes) if hasattr(seq, "frames") else seq
-        suite.append((list(frames), [tuple(float(v) for v in b) for b in gt]))
+    suite = [(list(seq.frames), [tuple(float(v) for v in b) for b in seq.boxes])
+             for seq in sequences]
     if not any(len(frames) > 1 for frames, _ in suite):
         raise DataError("no sequence has a frame after its init frame to time")
 

@@ -29,7 +29,7 @@ from .boxes import iou_corners
 from .errors import DataError, NumericError, ShapeError
 from .routing import ROUTE1, SEARCH_FACTOR, TEMPLATE_FACTOR, route_head
 from .tensor import hardswish, hardswish_grad, sigmoid
-from .weights import ModelParams, RouterWeights
+from .weights import ModelParams, RouterWeights, _uniform_maker, router_weights
 
 LABEL_STRIDE = 4  # label_router_samples labels frames 1, 5, 9, ... of each sequence
 
@@ -225,6 +225,9 @@ def fit_router(features, targets, lr: float, epochs: int, seed: int,
                hidden=(96, 32), tau_fg: float = 0.6):
     """Fit the three-layer router to per-token targets; returns (weights, losses).
 
+    The float64 weights start from ``router_weights``' draw for ``seed``, the
+    builder ``init_weights`` uses for the seeded tree's router.
+
     ``losses`` holds the MSE before each update plus the final value, so
     ``losses[0]`` and ``losses[-1]`` are the initial and final training loss.
     A step size that overflows the weights shows as a non-finite loss, which
@@ -240,27 +243,18 @@ def fit_router(features, targets, lr: float, epochs: int, seed: int,
         raise DataError(f"seed must be >= 0, got {seed}")
     check_epochs(epochs)
     n, dim = x.shape
-    h1, h2 = int(hidden[0]), int(hidden[1])
-    rng = np.random.default_rng(seed)
-
-    def init(shape, fan_in):
-        return rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=shape)
-
-    w = RouterWeights(
-        w1=init((dim, h1), dim), b1=np.zeros(h1),
-        w2=init((h1, h2), h1), b2=np.zeros(h2),
-        w3=init((h2, 1), h2), b3=np.zeros(1),
-        tau_fg=tau_fg,
-    )
+    w = router_weights(_uniform_maker(seed), dim, hidden, tau_fg, np.float64)
 
     losses = []
-    for epoch in range(int(epochs)):
+    for epoch in range(epochs + 1):
         z1, a1, z2, a2, z3, s = _router_forward_full(x, w)
         diff = s - y
         loss = float((diff * diff).mean())
         if not np.isfinite(loss):
             raise NumericError(f"router fitting diverged at epoch {epoch}: loss={loss}")
         losses.append(loss)
+        if epoch == epochs:
+            return w, losses
 
         dz3 = (2.0 * diff / n) * s * (1.0 - s)
         dz3 = dz3[:, None]
@@ -281,10 +275,3 @@ def fit_router(features, targets, lr: float, epochs: int, seed: int,
         w.b2 = w.b2 - lr * gb2
         w.w1 = w.w1 - lr * gw1
         w.b1 = w.b1 - lr * gb1
-
-    _, _, _, _, _, s = _router_forward_full(x, w)
-    final = float(((s - y) ** 2).mean())
-    if not np.isfinite(final):
-        raise NumericError(f"router fitting diverged at epoch {epochs}: loss={final}")
-    losses.append(final)
-    return w, losses

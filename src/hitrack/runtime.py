@@ -81,11 +81,14 @@ def crop_resize(frame: np.ndarray, box_xywh, factor: float, out_size: int):
         raise NumericError(f"cannot crop around a non-finite box {box_xywh}")
     if w <= 0.0 or h <= 0.0:
         raise DataError(f"cannot crop around a zero-area box {box_xywh}")
-    side = factor * np.sqrt(w * h)
+    side = float(factor * np.sqrt(w * h))
     cx = x + w / 2.0
     cy = y + h / 2.0
-    mapping = CropMapping((cx, cy), float(side), int(out_size))
+    mapping = CropMapping((cx, cy), side, int(out_size))
     x0, y0 = mapping.origin
+    # Every integer below 2**53 is a float64, so the taps floor to int64 exactly.
+    if not (side > 0.0 and abs(x0) + side < 2.0**53 and abs(y0) + side < 2.0**53):
+        raise NumericError(f"crop window of side {side} around box {box_xywh} is out of range")
 
     fh, fw = frame.shape[:2]
     dtype = frame.dtype if frame.dtype.kind == "f" else np.float32

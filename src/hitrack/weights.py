@@ -3,7 +3,9 @@
 ``init_weights`` builds the full parameter tree for a config with a seeded
 fan-in-scaled uniform init (weights in [-1/sqrt(fan_in), +1/sqrt(fan_in)],
 biases and bias tables zero, affine scales one). Construction order is fixed,
-so a seed pins every bit of every tensor.
+so a seed pins every bit of every tensor. ``router_weights`` draws the router
+for both ``init_weights`` and ``objectives.fit_router``, so a fit starts from
+the same shapes and fan-in bounds as the seeded tree.
 
 The archive format is little-endian and platform independent:
 
@@ -17,7 +19,9 @@ before it reads a payload byte: a duplicated, missing or extra name and a
 shape mismatch are rejected by name. The payload is then read straight into
 the tree's tensors under a running CRC32, and a checksum failure is
 rejected. Writing streams each tensor's buffer the same way, so neither
-direction holds a second copy of the weights.
+direction holds a second copy of the weights. ``save_weights`` stores every
+tensor in the config dtype, so a float64 router fitted for a float32 tree is
+written as f4.
 """
 from __future__ import annotations
 
@@ -118,6 +122,18 @@ def _zeros(shape, fan_in, dtype):
     return np.zeros(shape, dtype=dtype)
 
 
+def router_weights(make, c_in, hidden, tau_fg, dtype) -> RouterWeights:
+    """The router c_in -> h1 -> h2 -> 1: w1, w2 and w3 from ``make`` in that
+    order, zero biases."""
+    h1, h2 = (int(n) for n in hidden)
+    return RouterWeights(
+        w1=make((c_in, h1), c_in, dtype), b1=np.zeros(h1, dtype),
+        w2=make((h1, h2), h1, dtype), b2=np.zeros(h2, dtype),
+        w3=make((h2, 1), h2, dtype), b3=np.zeros(1, dtype),
+        tau_fg=tau_fg,
+    )
+
+
 def _build_params(config: ModelConfig, make) -> ModelParams:
     dt = config.np_dtype
     geo = geometry(config)
@@ -204,13 +220,7 @@ def _build_params(config: ModelConfig, make) -> ModelParams:
     head1 = corner_head(0)        # consumes the stage-1 global vector (already C1 wide)
     head2 = corner_head(c3)       # projects the final global vector C3 -> C1
 
-    h1, h2 = config.router_hidden
-    router = RouterWeights(
-        w1=make((c1, h1), c1, dt), b1=zeros(h1),
-        w2=make((h1, h2), h1, dt), b2=zeros(h2),
-        w3=make((h2, 1), h2, dt), b3=zeros(1),
-        tau_fg=config.tau_fg,
-    )
+    router = router_weights(make, c1, config.router_hidden, config.tau_fg, dt)
 
     return ModelParams(config, embed, stages, shrinks, bridge, head1, head2, router)
 
@@ -319,7 +329,9 @@ def _read_manifest(fh, path) -> dict[str, tuple[np.dtype, tuple[int, ...]]]:
 
 
 def save_weights(path, params: ModelParams) -> None:
-    write_archive(path, named_arrays(params))
+    """Write the tree as a HITW archive with every tensor in the config dtype."""
+    dt = params.config.np_dtype
+    write_archive(path, [(name, a.astype(dt, copy=False)) for name, a in named_arrays(params)])
 
 
 def load_weights(path, config: ModelConfig) -> ModelParams:

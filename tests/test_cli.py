@@ -601,6 +601,23 @@ class TestExitCodes:
         assert "diverged" in capsys.readouterr().err
         assert not (tmp_path / "r.hitw").exists()
 
+    def test_overflowing_base_box_is_4(self, tmp_path, capsys):
+        base = tmp_path / "base.txt"
+        base.write_text("0,0,1e200,1e200\n" * 6)
+        out = tmp_path / "o.txt"
+        code = main(["track", "--variant", "toy", "--seed", "7", "--synth", "1:0:6",
+                     "--tracker", "dytracker", "--threshold", "1", "--base-results", str(base),
+                     "--out", str(out)])
+        assert code == cli.NUMERIC_ERROR
+        assert "out of range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_key_dim_below_one_is_3(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("variant = toy\nkey_dim = -1\n")
+        assert main(["flops", "--config", str(config)]) == cli.DATA_ERROR
+        assert "key_dim must be >= 1, got -1" in capsys.readouterr().err
+
     def test_non_finite_init_box_is_4(self, seq_dir, tmp_path):
         nan_dir = tmp_path / "seq"
         nan_dir.mkdir()

@@ -77,3 +77,10 @@ class TestModelGeometry:
             k = loop_coords(shrink.layout)
             assert np.array_equal(shrink.bias_index, loop_index(q, k)), f"shrink {s}"
             assert shrink.table_shape == geo.stages[s].table_shape
+
+
+class TestModelConfigChecks:
+    @pytest.mark.parametrize("key_dim", [0, -1])
+    def test_key_dim_below_one_rejected(self, key_dim):
+        with pytest.raises(ShapeError, match="key_dim"):
+            make_config("toy", key_dim=key_dim)

@@ -218,6 +218,19 @@ class TestFitRouter:
         for key in ("w1", "b1", "w2", "b2", "w3", "b3"):
             assert np.array_equal(getattr(w0, key), getattr(w5, key))
 
+    def test_zero_epochs_is_the_seeded_draw(self):
+        x, y = make_separable_dataset(seed=1, n=64, dim=8)
+        w, losses = fit_router(x, y, lr=1e-2, epochs=0, seed=9, hidden=(6, 4), tau_fg=0.3)
+        rng = np.random.default_rng(9)
+        for key, shape in (("w1", (8, 6)), ("w2", (6, 4)), ("w3", (4, 1))):
+            bound = 1.0 / np.sqrt(shape[0])
+            want = rng.uniform(-bound, bound, size=shape)
+            got = getattr(w, key)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), key
+        for key, size in (("b1", 6), ("b2", 4), ("b3", 1)):
+            assert getattr(w, key).tobytes() == np.zeros(size).tobytes(), key
+        assert w.tau_fg == 0.3 and len(losses) == 1
+
     def test_separable_dispatch_accuracy(self):
         x, y = make_separable_dataset(seed=2)
         w, losses = fit_router(x, y, lr=1e-2, epochs=200, seed=0)

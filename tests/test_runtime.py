@@ -257,6 +257,13 @@ class TestCropRejectsNonFinite:
         with pytest.raises(NumericError):
             crop_resize(frame, (44.0, 34.0, 12.0, 12.0), 2.0, 32)
 
+    @pytest.mark.parametrize("box", [(0.0, 0.0, 1e200, 1e200),   # side overflows to inf
+                                     (1e300, 0.0, 10.0, 10.0),   # taps past int64
+                                     (0.0, 0.0, 1e-300, 1e-300)])  # side underflows to 0
+    def test_window_out_of_range(self, box):
+        with pytest.raises(NumericError, match="out of range"):
+            crop_resize(checker_frame(), box, 4.0, 64)
+
 
 class TestMapBoxToFrame:
     def test_identity_mapping(self):

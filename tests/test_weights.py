@@ -240,6 +240,21 @@ class TestOnePassLoad:
             assert got.dtype == np.dtype(loaded), name
             assert got.tobytes() == want.astype(loaded).tobytes(), name
 
+    def test_save_stores_the_config_dtype(self, toy_cfg, tmp_path):
+        # a float64 router in a float32 tree, as objectives.fit_router returns it
+        params = init_weights(toy_cfg, seed=7)
+        router = params.router
+        for key in ("w1", "b1", "w2", "b2", "w3", "b3"):
+            setattr(router, key, getattr(router, key).astype(np.float64) + 0.1)
+        path = tmp_path / "toy.hitw"
+        save_weights(path, params)
+        with open(path, "rb") as fh:
+            stored = weights._read_manifest(fh, path)
+        assert {dtype for dtype, _ in stored.values()} == {np.dtype("<f4")}
+        again = load_weights(path, toy_cfg)
+        for (name, got), (_, want) in zip(named_arrays(again), named_arrays(params)):
+            assert got.tobytes() == want.astype(np.float32).tobytes(), name
+
     @staticmethod
     def traced_peak(fn, *args):
         """Peak bytes ``fn`` allocates above what is live when it starts."""
