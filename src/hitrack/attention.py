@@ -46,8 +46,8 @@ class MhaWeights:
     wv: np.ndarray
     wo: np.ndarray
     bias_table: np.ndarray
-    n_heads: int = 1
-    key_dim: int = 16
+    n_heads: int
+    key_dim: int
 
 
 @dataclass(eq=False)
@@ -60,8 +60,8 @@ class SaWeights:
     wv: np.ndarray
     wo: np.ndarray
     bias_table: np.ndarray
-    n_heads: int = 1
-    key_dim: int = 16
+    n_heads: int
+    key_dim: int
 
 
 @dataclass(eq=False)

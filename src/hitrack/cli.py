@@ -165,8 +165,7 @@ def _load_sequence(args):
 
 
 def cmd_gen_synth(args):
-    seq = runtime.gen_synthetic(args.seed, args.difficulty, args.length,
-                                hw=args.size, blur=args.blur)
+    seq = runtime.gen_synthetic(args.seed, args.difficulty, args.length, hw=args.size)
     runtime.write_sequence(args.out, seq)
     print(f"wrote {len(seq)} frames ({seq.frames.shape[1]}x{seq.frames.shape[2]}) "
           f"and groundtruth.txt to {args.out}")
@@ -278,7 +277,7 @@ def cmd_flops(args):
 
 
 def cmd_fit_router(args):
-    objectives.check_epochs(args.epochs)
+    objectives.check_fit_args(args.lr, args.epochs)
     cfg, params = _model(args)
     sequences = [runtime.gen_synthetic(*spec) for spec in args.synth]
     features, targets = objectives.label_router_samples(sequences, params)
@@ -308,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=50)
     p.add_argument("--size", type=_frame_size, default=(120, 160),
                    help="frame size HxW, each side at least 32")
-    p.add_argument("--blur", action="store_true")
     p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("infer", help="run one template/search pair")

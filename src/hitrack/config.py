@@ -106,13 +106,13 @@ class TokenLayout:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    variant: str = "base"
-    template_size: int = 128
-    search_size: int = 256
-    channels: tuple[int, int, int] = (384, 512, 768)
-    heads: tuple[int, int, int] = (6, 9, 12)
-    key_dim: int = 32
-    router_hidden: tuple[int, int] = (96, 32)
+    variant: str
+    template_size: int
+    search_size: int
+    channels: tuple[int, int, int]
+    heads: tuple[int, int, int]
+    key_dim: int
+    router_hidden: tuple[int, int]
     tau_fg: float = 0.6
     classify_every_n: int = 1
     dtype: str = "float32"
@@ -171,7 +171,7 @@ VARIANTS: dict[str, dict] = {
 }
 
 
-def make_config(variant: str = "base", **overrides) -> ModelConfig:
+def make_config(variant: str, **overrides) -> ModelConfig:
     if variant not in VARIANTS:
         raise ShapeError(f"unknown variant {variant!r}, expected one of {sorted(VARIANTS)}")
     kwargs = dict(VARIANTS[variant])

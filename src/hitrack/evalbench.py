@@ -99,9 +99,10 @@ class CostReport:
         return self.extras[name].macs / self.total_macs
 
 
-def _conv_cost(grid_hw, cin, cout, k=3) -> LayerCost:
+def _conv_cost(grid_hw, cin, cout) -> LayerCost:
+    """A 3x3 convolution over an h x w grid."""
     h, w = grid_hw
-    return LayerCost(macs=h * w * k * k * cin * cout, params=k * k * cin * cout)
+    return LayerCost(macs=h * w * 9 * cin * cout, params=9 * cin * cout)
 
 
 def _embed_cost(config: ModelConfig, size: int, with_params: bool) -> LayerCost:

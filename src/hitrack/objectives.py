@@ -214,8 +214,11 @@ def _router_forward_full(x, w: RouterWeights):
     return z1, a1, z2, a2, z3, sigmoid(z3)[:, 0]
 
 
-def check_epochs(epochs) -> None:
-    """A negative epoch count is a DataError (``fit-router`` checks it before labelling)."""
+def check_fit_args(lr, epochs) -> None:
+    """A learning rate that is not a finite number >= 0, or a negative epoch
+    count, is a DataError (``fit-router`` checks both before labelling)."""
+    if not (np.isfinite(lr) and lr >= 0):
+        raise DataError(f"lr must be a finite number >= 0, got {lr}")
     if epochs < 0:
         raise DataError(f"epochs must be >= 0, got {epochs}")
 
@@ -241,7 +244,7 @@ def fit_router(features, targets, lr: float, epochs: int, seed: int,
         raise DataError("empty router training set")
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
-    check_epochs(epochs)
+    check_fit_args(lr, epochs)
     n, dim = x.shape
     w = router_weights(_uniform_maker(seed), dim, hidden, tau_fg, np.float64)
 

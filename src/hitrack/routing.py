@@ -260,7 +260,7 @@ class Tracker:
             box = answerer.predict(frame_index, frame, prev_box)
         dt = time.perf_counter() - t0
         if not np.isfinite(box).all():
-            raise NumericError(f"non-finite box {box} at frame {frame_index + 1}")
+            raise NumericError(f"non-finite box {box}")
         return box, decision, dt
 
 

@@ -105,14 +105,11 @@ def crop_resize(frame: np.ndarray, box_xywh, factor: float, out_size: int):
     rows, ri = _tap_index(r0)
     cols, ci = _tap_index(c0)
     # A flat-index take on the [H*W, 3] pixel view gathers the block 2-3x
-    # faster than the 2-D fancy index, which stays for frames with no such view.
+    # faster than a 2-D fancy index; a frame with no such view is copied
+    # into one by the reshape.
     rr = np.clip(rows, 0, fh - 1)
     cc = np.clip(cols, 0, fw - 1)
-    if frame.flags.c_contiguous:
-        block = frame.reshape(fh * fw, 3).take(rr[:, None] * fw + cc, axis=0)
-    else:
-        block = frame[rr[:, None], cc]
-    block = block.astype(dtype, copy=False)
+    block = frame.reshape(fh * fw, 3).take(rr[:, None] * fw + cc, axis=0).astype(dtype, copy=False)
     row_in = (rows >= 0) & (rows < fh)
     col_in = (cols >= 0) & (cols < fw)
     fill = not (row_in.all() and col_in.all())
@@ -174,8 +171,8 @@ def track_sequence(frames, init_box, tracker) -> TrackResult:
     """Run a tracker over a sequence; box 1 is the init box by protocol.
 
     A package error from a step is re-raised as its own type with the frame
-    number prefixed. A ``NumericError`` passes through as it is, and so does
-    any other exception, which is a defect, as it does from ``init``.
+    number prefixed. Any other exception is a defect and passes through as it
+    is, as it does from ``init``.
     """
     frames = list(frames)
     if not frames:
@@ -192,8 +189,6 @@ def track_sequence(frames, init_box, tracker) -> TrackResult:
     for idx, frame in enumerate(frames[1:], start=1):
         try:
             box, decision, dt = tracker.step(frame, idx, boxes[-1])
-        except NumericError:
-            raise
         except HitrackError as exc:
             raise type(exc)(f"tracker failed at frame {idx + 1}: {exc}") from exc
         boxes.append(tuple(float(v) for v in box))
@@ -208,10 +203,6 @@ class SyntheticSequence:
 
     frames: np.ndarray          # [T, H, W, 3] float32 in [0, 255]
     boxes: np.ndarray           # [T, 4] (x, y, w, h) frame pixels
-    seed: int
-    n_distractors: int
-    clutter: float
-    motion: float
 
     def __len__(self) -> int:
         return self.frames.shape[0]
@@ -271,8 +262,7 @@ def _draw_rect(frame, cx, cy, w, h, color, rng, jitter):
 MIN_SYNTH_SIDE = 32
 
 
-def gen_synthetic(seed: int, difficulty: int, length: int, hw=(120, 160),
-                  blur: bool = False) -> SyntheticSequence:
+def gen_synthetic(seed: int, difficulty: int, length: int, hw=(120, 160)) -> SyntheticSequence:
     """Deterministic synthetic sequence; difficulty scales the three knobs:
 
     distractor count = difficulty, background clutter = 0.15 + 0.1*difficulty,
@@ -296,7 +286,6 @@ def gen_synthetic(seed: int, difficulty: int, length: int, hw=(120, 160),
     if min(h, w) < MIN_SYNTH_SIDE:
         raise DataError(f"synthetic frames need sides of at least {MIN_SYNTH_SIDE} pixels, got {h}x{w}")
     rng = np.random.default_rng(seed)
-    n_distractors = int(difficulty)
     clutter = 0.15 + 0.1 * difficulty
     motion = 2.0 + 2.0 * difficulty
 
@@ -324,7 +313,7 @@ def gen_synthetic(seed: int, difficulty: int, length: int, hw=(120, 160),
 
     target = init_walker(tw, th)
     distractors = []
-    for _ in range(n_distractors):
+    for _ in range(int(difficulty)):
         dw = tw * rng.uniform(0.8, 1.2)
         dh = th * rng.uniform(0.8, 1.2)
         dcolor = np.clip(target_color + rng.uniform(-15, 15, size=3), 0.0, 255.0)
@@ -346,14 +335,7 @@ def gen_synthetic(seed: int, difficulty: int, length: int, hw=(120, 160),
             advance(state, dw, dh)
         boxes[t] = _draw_rect(frame, target[0], target[1], tw, th, target_color, rng, 4.0)
         advance(target, tw, th)
-        if blur:
-            padded = np.pad(frame, ((1, 1), (1, 1), (0, 0)), mode="edge")
-            acc = np.zeros_like(frame)
-            for dy in range(3):
-                for dx in range(3):
-                    acc += padded[dy:dy + h, dx:dx + w]
-            np.divide(acc, 9.0, out=frame)
-    return SyntheticSequence(frames, boxes, seed, n_distractors, clutter, motion)
+    return SyntheticSequence(frames, boxes)
 
 
 # Sequence and box-file input/output. Frames are stored as binary PPM (P6),

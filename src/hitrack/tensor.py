@@ -61,9 +61,9 @@ _macs: ContextVar[tuple[tuple[MacCounter, ...], str]] = ContextVar(
 
 
 @contextmanager
-def count_macs(counter: MacCounter | None = None):
+def count_macs():
     """Collect MAC counts from every kernel executed inside the block."""
-    counter = counter if counter is not None else MacCounter()
+    counter = MacCounter()
     counters, label = _macs.get()
     token = _macs.set((counters + (counter,), label))
     try:

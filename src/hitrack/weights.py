@@ -7,6 +7,10 @@ so a seed pins every bit of every tensor. ``router_weights`` draws the router
 for both ``init_weights`` and ``objectives.fit_router``, so a fit starts from
 the same shapes and fan-in bounds as the seeded tree.
 
+Archive tensors are named by their dataclass field paths, list items
+numbered (``embed.convs.0.kernel``), and written in field order; fields
+that do not hold an array are not stored.
+
 The archive format is little-endian and platform independent:
 
     magic "HITW" | version u16 | tensor count u32
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -82,7 +86,7 @@ class RouterWeights:
     b2: np.ndarray
     w3: np.ndarray
     b3: np.ndarray
-    tau_fg: float = 0.6
+    tau_fg: float
 
 
 @dataclass(eq=False)
@@ -242,28 +246,18 @@ def zero_weights(config: ModelConfig) -> ModelParams:
 
 
 def _named_slots(obj, prefix=""):
-    """Yield (name, parent, key) for every ndarray slot in the tree."""
-    if isinstance(obj, ModelParams):
-        for name in ("embed", "stages", "shrinks", "bridge", "head1", "head2", "router"):
-            yield from _named_slots(getattr(obj, name), name)
-        return
-    if isinstance(obj, np.ndarray):
-        raise AssertionError("arrays are yielded by their parents")
-    if isinstance(obj, (list, tuple)):
-        for i, child in enumerate(obj):
-            yield from _named_slots(child, f"{prefix}.{i}")
-        return
-    for key in vars(obj):
-        if key.startswith("_"):
-            continue  # runtime caches are not parameters
-        child = getattr(obj, key)
-        name = f"{prefix}.{key}"
-        if isinstance(child, np.ndarray):
-            yield name, obj, key
-        elif child is None or isinstance(child, (int, float, str)):
-            continue
-        else:
-            yield from _named_slots(child, name)
+    """Yield (name, parent, key) for every ndarray field in the tree, named
+    by its field path in field order; list items are numbered."""
+    if isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _named_slots(item, f"{prefix}{i}.")
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            child = getattr(obj, f.name)
+            if isinstance(child, np.ndarray):
+                yield prefix + f.name, obj, f.name
+            else:
+                yield from _named_slots(child, f"{prefix}{f.name}.")
 
 
 def named_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:

@@ -4,7 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Everything uses the toy variant unless a criterion is about the
 base-like configuration, whose checks are closed-form, or about numerics that
 only show on the larger variants. The ``_tiny`` tests repeat the cheap toy
-criteria (1, 6, 11, 12) on the tiny variant.
+criteria (1, 3, 6, 11, 12) on the tiny variant.
 """
 import numpy as np
 import pytest
@@ -119,6 +119,37 @@ def test_c03_shrink_attention(toy_cfg):
     zeroed[16:] = 0.0
     assert np.array_equal(layout.subsample(markers)[:4], layout.subsample(zeroed)[:4])
     ok(3, "token count /4 exactly; subsampled Q positions match the even-index oracle; regions never mix")
+
+
+def test_c03_shrink_attention_tiny(tiny_cfg, tiny_params):
+    from hitrack.attention import _attend, shrink_attention
+    from hitrack.config import geometry
+    from hitrack.tensor import affine
+
+    # even-index oracle on tiny's stage-1 layout: an 8x8 template and 16x16 search grid
+    geo = geometry(tiny_cfg)
+    layout = geo.shrinks[0].layout
+    markers = np.arange(layout.n_tokens, dtype=np.float64).reshape(-1, 1)
+    kept = layout.subsample(markers)[:, 0].astype(int)
+    tpl_expect = np.arange(64).reshape(8, 8)[::2, ::2].reshape(-1)
+    srch_expect = (np.arange(256).reshape(16, 16)[::2, ::2] + 64).reshape(-1)
+    assert np.array_equal(kept, np.concatenate([tpl_expect, srch_expect]))
+
+    # both Shrink Attention layers on the seeded weights and real bias indices
+    tokens = np.random.default_rng(103).standard_normal((layout.n_tokens, 128)).astype(np.float32)
+    counts = [len(tokens)]
+    for s, width in ((0, 256), (1, 384)):
+        w, sg = tiny_params.shrinks[s], geo.shrinks[s]
+        bias = posenc.gather_bias(w.bias_table, sg.bias_index)
+        out = shrink_attention(tokens, sg.layout, w, bias)
+        assert out.shape == (sg.layout.n_tokens // 4, width)
+        if s == 0:  # the queries are the oracle's rows of the normalised tokens
+            x = affine(tokens, w.affine.scale, w.affine.shift)
+            assert np.array_equal(out, _attend(x[kept], x, w, bias))
+        tokens = out
+        counts.append(len(tokens))
+    assert counts == [320, 80, 20]
+    ok(3, "tiny: tokens 320 -> 80 -> 20 at widths 256 and 384; queries match the even-index oracle")
 
 
 def test_c04_bridge_identity():

@@ -572,6 +572,18 @@ class TestExitCodes:
         assert code == cli.DATA_ERROR
         assert "epochs must be >= 0, got -3" in capsys.readouterr().err
 
+    def test_bad_lr_rejected_before_labelling(self, tmp_path, capsys, monkeypatch):
+        def labelled(*args):
+            raise AssertionError("labelled before the lr check")
+
+        monkeypatch.setattr(objectives, "label_router_samples", labelled)
+        out = tmp_path / "r.hitw"
+        code = main(["fit-router", "--variant", "toy", "--synth", "1:0:5", "--lr=-1",
+                     "--out", str(out)])
+        assert code == cli.DATA_ERROR
+        assert "lr must be a finite number >= 0, got -1.0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("corrupt", ["duplicate", "truncate"])
     def test_malformed_archive_through_track_is_3(self, seq_dir, tmp_path, capsys, corrupt):
         tensors = weights.named_arrays(weights.init_weights(hitrack.make_config("toy"), 7))
@@ -609,7 +621,8 @@ class TestExitCodes:
                      "--tracker", "dytracker", "--threshold", "1", "--base-results", str(base),
                      "--out", str(out)])
         assert code == cli.NUMERIC_ERROR
-        assert "out of range" in capsys.readouterr().err
+        # frame 2 takes the base box; frame 3's crop around it overflows
+        assert "tracker failed at frame 3: crop window" in capsys.readouterr().err
         assert not out.exists()
 
     def test_key_dim_below_one_is_3(self, tmp_path, capsys):

@@ -250,6 +250,12 @@ class TestFitRouter:
         with pytest.raises(NumericError, match="epoch 0"):
             fit_router(x, y, lr=1e-2, epochs=50, seed=0, hidden=(6, 4))
 
+    @pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf")])
+    def test_bad_lr_rejected(self, lr):
+        x, y = make_separable_dataset(seed=1, n=16, dim=4)
+        with pytest.raises(DataError, match="lr must be a finite number >= 0"):
+            fit_router(x, y, lr=lr, epochs=1, seed=0, hidden=(3, 2))
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
             fit_router(np.zeros((0, 4)), np.zeros(0), 0.1, 1, 0)

@@ -337,11 +337,12 @@ class TestDyTracker:
 
     def test_non_finite_base_box_names_frame(self, toy_params):
         frames, gt = self.make_suite()
-        boxes = gt[:-1] + [(float("nan"),) * 4]
-        base = oracle_base_tracker(boxes, 0.0, seed=1)
-        tracker = make_tracker("dytracker", toy_params, 1.0, base=base)  # always route2
-        with pytest.raises(NumericError, match=f"frame {len(frames)}"):
-            runtime.track_sequence(frames, gt[0], tracker)
+        for bad in (float("nan"), float("inf")):
+            base = oracle_base_tracker(gt[:-1] + [(bad,) * 4], 0.0, seed=1)
+            tracker = make_tracker("dytracker", toy_params, 1.0, base=base)  # always route2
+            message = f"^tracker failed at frame {len(frames)}: non-finite box"
+            with pytest.raises(NumericError, match=message):
+                runtime.track_sequence(frames, gt[0], tracker)
 
     def test_functional_step_matches_tracker_object(self, toy_params):
         # the tracker caches the template embed; this reference loop does not

@@ -1,11 +1,13 @@
 import struct
 import tracemalloc
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
 import hitrack
 from hitrack import weights
+from hitrack.config import STAGE_BLOCKS
 from hitrack.errors import DataError, ShapeError
 from hitrack.routing import ROUTE2
 from hitrack.weights import (count_params, init_weights, load_weights, named_arrays,
@@ -189,6 +191,56 @@ def append_trailing_byte(blob):
 
 def flip_payload_byte(blob):
     blob[len(blob) // 2] ^= 0x01
+
+
+def every_array(obj, path="", found=None):
+    """Brute force: (path, array, is a declared dataclass field) for every
+    ndarray attribute reachable from ``obj``, caches included."""
+    found = [] if found is None else found
+    if isinstance(obj, list):
+        for i, item in enumerate(obj):
+            every_array(item, f"{path}{i}.", found)
+    elif hasattr(obj, "__dict__"):
+        declared = getattr(obj, "__dataclass_fields__", {})
+        for key, child in vars(obj).items():
+            if isinstance(child, np.ndarray):
+                found.append((path + key, child, key in declared))
+            else:
+                every_array(child, f"{path}{key}.", found)
+    return found
+
+
+class TestArchiveNames:
+    """Archive names are the dataclass field paths of the tree's arrays."""
+
+    def test_derived_tree_stores_its_extra_tensor(self, toy_cfg, tmp_path):
+        @dataclass(eq=False)
+        class Extended(weights.ModelParams):
+            extra: np.ndarray
+
+        params = init_weights(toy_cfg, seed=7)
+        extra = np.arange(6, dtype=np.float32).reshape(2, 3)
+        tree = Extended(**{f.name: getattr(params, f.name) for f in fields(params)}, extra=extra)
+        names = [name for name, _ in named_arrays(tree)]
+        assert names == [name for name, _ in named_arrays(params)] + ["extra"]
+        path = tmp_path / "extended.hitw"
+        save_weights(path, tree)
+        with open(path, "rb") as fh:
+            assert weights._read_manifest(fh, path)["extra"] == (np.dtype("<f4"), (2, 3))
+        assert path.read_bytes()[-4 - extra.nbytes:-4] == extra.tobytes()
+
+    def test_each_field_array_once_and_no_cache(self, toy_cfg, toy_pair):
+        params = init_weights(toy_cfg, seed=7)
+        hitrack.forward(*toy_pair, params, route=ROUTE2)  # fills every _bias_cache
+        found = every_array(params)
+        cached = [(name, a) for name, a, declared in found if not declared]
+        # one gathered bias per attention layer: every stage block and both shrinks
+        assert len(cached) == sum(STAGE_BLOCKS) + 2
+        assert all(name.endswith("._bias_cache") for name, _ in cached)
+        want = [(name, id(a)) for name, a, declared in found if declared]
+        assert [(name, id(a)) for name, a in named_arrays(params)] == want
+        assert len({i for _, i in want}) == len(want)
+        assert not {id(a) for _, a in cached} & {i for _, i in want}
 
 
 class TestOnePassLoad:
