@@ -38,7 +38,8 @@ class MhaWeights:
     wq, wk: [C, N*D]; wv: [C, N*2D]; wo: [N*2D, C].
     ``bias_table`` is the layer's [N, rows, cols] position-bias table; the
     backbone gathers it into the [N, T, T] ``bias`` that ``mha_forward`` adds
-    to the scores.
+    to the scores. The head count N is ``bias_table``'s first extent and the
+    key width D is ``wq``'s width over N.
     """
 
     wq: np.ndarray
@@ -46,13 +47,15 @@ class MhaWeights:
     wv: np.ndarray
     wo: np.ndarray
     bias_table: np.ndarray
-    n_heads: int
-    key_dim: int
 
 
 @dataclass(eq=False)
 class SaWeights:
-    """Shrink Attention weights: V is 4*D per head and wo maps to C_out > C."""
+    """Shrink Attention weights: V is 4*D per head and wo maps to C_out > C.
+
+    As in ``MhaWeights``, N is ``bias_table``'s first extent and D is
+    ``wq``'s width over N.
+    """
 
     affine: AffineParams
     wq: np.ndarray
@@ -60,8 +63,6 @@ class SaWeights:
     wv: np.ndarray
     wo: np.ndarray
     bias_table: np.ndarray
-    n_heads: int
-    key_dim: int
 
 
 @dataclass(eq=False)
@@ -86,7 +87,8 @@ def _attend(q_in: np.ndarray, kv_in: np.ndarray, w: MhaWeights | SaWeights, bias
     Q, K and V are viewed as [N, T, D] head stacks, so the scores and the
     weighted values are one stacked product each; ``bias`` is [N, Tq, Tk].
     """
-    n, d = w.n_heads, w.key_dim
+    n = w.bias_table.shape[0]
+    d = w.wq.shape[1] // n
     tq, tk = q_in.shape[0], kv_in.shape[0]
     q = matmul(q_in, w.wq).reshape(tq, n, d).transpose(1, 0, 2)
     k = matmul(kv_in, w.wk).reshape(tk, n, d).transpose(1, 2, 0)

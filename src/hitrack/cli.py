@@ -282,7 +282,7 @@ def cmd_fit_router(args):
     sequences = [runtime.gen_synthetic(*spec) for spec in args.synth]
     features, targets = objectives.label_router_samples(sequences, params)
     fitted, losses = objectives.fit_router(features, targets, args.lr, args.epochs, args.seed,
-                                           hidden=cfg.router_hidden, tau_fg=cfg.tau_fg)
+                                           hidden=cfg.router_hidden)
     params.router = fitted
     weights.save_weights(args.out, params)
     positives = int((targets > 0).sum())

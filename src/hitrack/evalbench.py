@@ -236,10 +236,6 @@ def flop_account(config: ModelConfig) -> CostReport:
     return CostReport(modules, extras)
 
 
-def total_params_with_extras(report: CostReport) -> int:
-    return report.total_params + sum(c.params for c in report.extras.values())
-
-
 # ---------------------------------------------------------------------------
 # Wall-clock latency benchmarking.
 

@@ -7,17 +7,16 @@ coordinate differences. Subgradients at ties take the left-continuous branch
 (max contributes only when strictly larger, min when smaller or equal), so
 gradients are deterministic everywhere.
 
-The two training objectives are
-
-    box loss      = 2 * (1 - GIoU) + 5 * L1
-    stage-2 loss  = 1 * (1 - GIoU) + 1 * L1 + 5 * MSE(scores, targets)
-
-with the MSE averaged over the score map of one image. Only the router is
-fit at this scale: full-batch gradient descent on the MSE term through the
-three linear layers, with hand-derived gradients verified against central
-differences by ``grad_check``. Its training set comes from
-``label_router_samples``: stage-1 search features of sampled frames, each
-token labelled by ``label_router_targets`` from Head1's box.
+The static tracker's box loss is 2 * (1 - GIoU) + 5 * L1 (``hit_loss``).
+The paper's router-stage objective, 1 * (1 - GIoU) + 1 * L1 + 5 * MSE of the
+score map against its targets, is not implemented: it waits on gradients
+through the head stack. Only the router is fit at this scale: full-batch
+gradient descent on the MSE term (``mse_with_grad``, averaged over the
+scored tokens) through the three linear layers, with hand-derived
+gradients verified against central differences by ``grad_check``. Its
+training set comes from ``label_router_samples``: stage-1 search features
+of sampled frames, each token labelled by ``label_router_targets`` from
+Head1's box.
 """
 from __future__ import annotations
 
@@ -120,14 +119,6 @@ def hit_loss(pred, gt) -> float:
     return 2.0 * (1.0 - g) + 5.0 * l1
 
 
-def dyhit_stage2_loss(pred, gt, scores, targets) -> float:
-    """Router-stage objective: 1 * (1 - GIoU) + 1 * L1 + 5 * MSE."""
-    g = giou(pred, gt)
-    l1, _ = l1_with_grad(pred, gt)
-    mse, _ = mse_with_grad(scores, targets)
-    return (1.0 - g) + l1 + 5.0 * mse
-
-
 def label_router_targets(grid_hw, gt, route1_pred):
     """Per-token regression targets over a search-crop score grid.
 
@@ -224,8 +215,7 @@ def check_fit_args(lr, epochs) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def fit_router(features, targets, lr: float, epochs: int, seed: int,
-               hidden=(96, 32), tau_fg: float = 0.6):
+def fit_router(features, targets, lr: float, epochs: int, seed: int, hidden=(96, 32)):
     """Fit the three-layer router to per-token targets; returns (weights, losses).
 
     The float64 weights start from ``router_weights``' draw for ``seed``, the
@@ -245,22 +235,19 @@ def fit_router(features, targets, lr: float, epochs: int, seed: int,
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
     check_fit_args(lr, epochs)
-    n, dim = x.shape
-    w = router_weights(_uniform_maker(seed), dim, hidden, tau_fg, np.float64)
+    w = router_weights(_uniform_maker(seed), x.shape[1], hidden, np.float64)
 
     losses = []
     for epoch in range(epochs + 1):
         z1, a1, z2, a2, z3, s = _router_forward_full(x, w)
-        diff = s - y
-        loss = float((diff * diff).mean())
+        loss, ds = mse_with_grad(s, y)
         if not np.isfinite(loss):
             raise NumericError(f"router fitting diverged at epoch {epoch}: loss={loss}")
         losses.append(loss)
         if epoch == epochs:
             return w, losses
 
-        dz3 = (2.0 * diff / n) * s * (1.0 - s)
-        dz3 = dz3[:, None]
+        dz3 = (ds * s * (1.0 - s))[:, None]
         gw3 = a2.T @ dz3
         gb3 = dz3.sum(axis=0)
         da2 = dz3 @ w.w3.T

@@ -3,9 +3,9 @@
 The router is three linear layers with hardswish between and a sigmoid
 output, applied per search token of the stage-1 feature map. Its pooled score
 F is the mean of the per-token scores that exceed the foreground threshold
-tau_fg; when no token clears the threshold F falls back to the mean of all
-scores (keeping F strictly inside (0, 1), so T=0 always routes fast and T=1
-always routes full under the strict comparisons below).
+``ModelConfig.tau_fg``; when no token clears the threshold F falls back to
+the mean of all scores (keeping F strictly inside (0, 1), so T=0 always
+routes fast and T=1 always routes full under the strict comparisons below).
 
 Dispatch (threshold T): F > T runs the fast route, Head1 on (s_max, g1),
 and the rest of the network is never executed; F <= T runs stages 2-3, the
@@ -58,8 +58,9 @@ def router_apply(features: np.ndarray, w: RouterWeights) -> np.ndarray:
     return sigmoid(linear(hardswish(z, out=z), w.w3, w.b3))[:, 0]
 
 
-def router_score(s_max_feat: np.ndarray, w: RouterWeights):
-    """Score map plus pooled score F; returns (scores, f, fallback)."""
+def router_score(s_max_feat: np.ndarray, w: RouterWeights, tau_fg: float):
+    """Score map plus pooled score F over the scores above ``tau_fg``;
+    returns (scores, f, fallback)."""
     s_max_feat = np.asarray(s_max_feat)
     if s_max_feat.ndim != 3:
         raise ShapeError(f"router expects an HxWxC feature map, got {s_max_feat.shape}")
@@ -68,7 +69,7 @@ def router_score(s_max_feat: np.ndarray, w: RouterWeights):
         raise ShapeError(f"router expects {w.w1.shape[0]} channels, features have {c}")
     with mac_scope("router"):
         scores = router_apply(s_max_feat.reshape(h * wd, c), w)
-    above = scores > w.tau_fg
+    above = scores > tau_fg
     if above.any():
         f = float(scores[above].mean())
         fallback = False
@@ -94,9 +95,10 @@ def _check_route(route) -> None:
         raise DataError(f"unknown route {route!r}")
 
 
-def route_decision(s_max_feat: np.ndarray, w: RouterWeights, threshold: float) -> RouteDecision:
+def route_decision(s_max_feat: np.ndarray, w: RouterWeights, tau_fg: float,
+                   threshold: float) -> RouteDecision:
     threshold = _check_threshold(threshold)
-    scores, f, fallback = router_score(s_max_feat, w)
+    scores, f, fallback = router_score(s_max_feat, w, tau_fg)
     route = ROUTE1 if f > threshold else ROUTE2
     return RouteDecision(scores, f, threshold, route, fallback)
 
@@ -123,7 +125,7 @@ def forward(template_img, search_img, params: ModelParams, route: str | None = N
     state = stage1_forward(embed_template(template_img, params), search_img, params)
     decision = None
     if route is None:
-        decision = route_decision(state.s_max, params.router, threshold)
+        decision = route_decision(state.s_max, params.router, params.config.tau_fg, threshold)
         route = decision.route
     return route_head(state, params, route), decision
 
@@ -247,7 +249,8 @@ class Tracker:
         route = self.route
         if route is None:
             if self._steps % params.config.classify_every_n == 0:
-                decision = route_decision(state.s_max, params.router, self.threshold)
+                decision = route_decision(state.s_max, params.router, params.config.tau_fg,
+                                          self.threshold)
             else:
                 decision = dc_replace(self._last, reused=True)
             self._last = decision

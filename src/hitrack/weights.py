@@ -7,9 +7,12 @@ so a seed pins every bit of every tensor. ``router_weights`` draws the router
 for both ``init_weights`` and ``objectives.fit_router``, so a fit starts from
 the same shapes and fan-in bounds as the seeded tree.
 
-Archive tensors are named by their dataclass field paths, list items
-numbered (``embed.convs.0.kernel``), and written in field order; fields
-that do not hold an array are not stored.
+Below ``ModelParams.config`` the tree holds only tensors: every field is an
+ndarray, a list or dataclass of them, or Head1's ``proj=None``. The head
+count, the key width and the router's ``tau_fg`` are read from the config or
+from tensor shapes, never stored beside the tensors. Archive tensors are
+named by their dataclass field paths, list items numbered
+(``embed.convs.0.kernel``), and written in field order.
 
 The archive format is little-endian and platform independent:
 
@@ -78,7 +81,7 @@ class CornerHeadWeights:
 @dataclass(eq=False)
 class RouterWeights:
     """Three linear layers C1 -> h1 -> h2 -> 1 with hardswish between and a
-    sigmoid output; tau_fg is the foreground threshold used to pool scores."""
+    sigmoid output."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -86,7 +89,6 @@ class RouterWeights:
     b2: np.ndarray
     w3: np.ndarray
     b3: np.ndarray
-    tau_fg: float
 
 
 @dataclass(eq=False)
@@ -126,7 +128,7 @@ def _zeros(shape, fan_in, dtype):
     return np.zeros(shape, dtype=dtype)
 
 
-def router_weights(make, c_in, hidden, tau_fg, dtype) -> RouterWeights:
+def router_weights(make, c_in, hidden, dtype) -> RouterWeights:
     """The router c_in -> h1 -> h2 -> 1: w1, w2 and w3 from ``make`` in that
     order, zero biases."""
     h1, h2 = (int(n) for n in hidden)
@@ -134,7 +136,6 @@ def router_weights(make, c_in, hidden, tau_fg, dtype) -> RouterWeights:
         w1=make((c_in, h1), c_in, dtype), b1=np.zeros(h1, dtype),
         w2=make((h1, h2), h1, dtype), b2=np.zeros(h2, dtype),
         w3=make((h2, 1), h2, dtype), b3=np.zeros(1, dtype),
-        tau_fg=tau_fg,
     )
 
 
@@ -171,8 +172,6 @@ def _build_params(config: ModelConfig, make) -> ModelParams:
                 wv=make((c, n_heads * 2 * d), c, dt),
                 wo=make((n_heads * 2 * d, c), n_heads * 2 * d, dt),
                 bias_table=bias_table(geo.stages[s], n_heads),
-                n_heads=n_heads,
-                key_dim=d,
             )
             hidden = MLP_RATIO * c
             mlp = MlpWeights(
@@ -199,8 +198,6 @@ def _build_params(config: ModelConfig, make) -> ModelParams:
             wv=make((cin, n_heads * 4 * d), cin, dt),
             wo=make((n_heads * 4 * d, cout), n_heads * 4 * d, dt),
             bias_table=bias_table(geo.stages[s], n_heads),
-            n_heads=n_heads,
-            key_dim=d,
         ))
 
     k = BRIDGE_KERNEL
@@ -224,7 +221,7 @@ def _build_params(config: ModelConfig, make) -> ModelParams:
     head1 = corner_head(0)        # consumes the stage-1 global vector (already C1 wide)
     head2 = corner_head(c3)       # projects the final global vector C3 -> C1
 
-    router = router_weights(make, c1, config.router_hidden, config.tau_fg, dt)
+    router = router_weights(make, c1, config.router_hidden, dt)
 
     return ModelParams(config, embed, stages, shrinks, bridge, head1, head2, router)
 
@@ -245,27 +242,19 @@ def zero_weights(config: ModelConfig) -> ModelParams:
     return _build_params(config, _zeros)
 
 
-def _named_slots(obj, prefix=""):
-    """Yield (name, parent, key) for every ndarray field in the tree, named
-    by its field path in field order; list items are numbered."""
+def named_arrays(obj, prefix: str = "") -> list[tuple[str, np.ndarray]]:
+    """(name, array) for every ndarray in the tree, named by its field path
+    in field order; list items are numbered."""
+    if isinstance(obj, np.ndarray):
+        return [(prefix, obj)]
     if isinstance(obj, list):
-        for i, item in enumerate(obj):
-            yield from _named_slots(item, f"{prefix}{i}.")
+        children = [(str(i), item) for i, item in enumerate(obj)]
     elif is_dataclass(obj):
-        for f in fields(obj):
-            child = getattr(obj, f.name)
-            if isinstance(child, np.ndarray):
-                yield prefix + f.name, obj, f.name
-            else:
-                yield from _named_slots(child, f"{prefix}{f.name}.")
-
-
-def named_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    return [(name, getattr(parent, key)) for name, parent, key in _named_slots(params)]
-
-
-def count_params(params: ModelParams) -> int:
-    return sum(int(a.size) for _, a in named_arrays(params))
+        children = [(f.name, getattr(obj, f.name)) for f in fields(obj)]
+    else:
+        return []
+    return [pair for key, child in children
+            for pair in named_arrays(child, f"{prefix}.{key}" if prefix else key)]
 
 
 def write_archive(path, tensors: list[tuple[str, np.ndarray]]) -> None:
@@ -337,7 +326,7 @@ def load_weights(path, config: ModelConfig) -> ModelParams:
     running CRC32, so the weights are held once.
     """
     params = zero_weights(config)
-    slots = {name: getattr(parent, key) for name, parent, key in _named_slots(params)}
+    slots = dict(named_arrays(params))
     with open(path, "rb") as fh:
         entries = _read_manifest(fh, path)
         missing = slots.keys() - entries.keys()

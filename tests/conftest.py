@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hitrack import make_config, init_weights
+from hitrack.weights import named_arrays
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +41,16 @@ def toy_pair(toy_cfg):
     tpl = rng.uniform(0, 255, (toy_cfg.template_size, toy_cfg.template_size, 3)).astype(np.float32)
     srch = rng.uniform(0, 255, (toy_cfg.search_size, toy_cfg.search_size, 3)).astype(np.float32)
     return tpl, srch
+
+
+def count_params(params) -> int:
+    """Every value the parameter tree stores, summed over its tensors."""
+    return sum(int(a.size) for _, a in named_arrays(params))
+
+
+def total_params_with_extras(report) -> int:
+    """A cost report's static parameters plus its routing extras'."""
+    return report.total_params + sum(c.params for c in report.extras.values())
 
 
 def make_separable_dataset(seed=0, n=400, dim=32):

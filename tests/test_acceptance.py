@@ -16,10 +16,9 @@ from hitrack.boxes import iou_xywh
 from hitrack.errors import DataError
 from hitrack.evalbench import flop_account, threshold_sweep
 from hitrack.routing import ROUTE1, ROUTE2, Tracker, forward
-from hitrack.weights import (count_params, init_weights, load_weights, named_arrays,
-                             save_weights)
+from hitrack.weights import init_weights, load_weights, named_arrays, save_weights
 
-from conftest import make_separable_dataset
+from conftest import count_params, make_separable_dataset, total_params_with_extras
 
 
 def ok(n, message):
@@ -102,7 +101,7 @@ def test_c03_shrink_attention(toy_cfg):
         affine=AffineParams(np.ones(6), np.zeros(6)),
         wq=rng.standard_normal((6, 6)), wk=rng.standard_normal((6, 6)),
         wv=rng.standard_normal((6, 24)), wo=rng.standard_normal((24, 10)),
-        bias_table=None, n_heads=2, key_dim=3,
+        bias_table=np.zeros((2, 1, 1)),
     )
     out = shrink_attention(rng.standard_normal((80, 6)), layout, w, None)
     assert out.shape == (20, 10)
@@ -195,7 +194,7 @@ def test_c06_cost_accounting(toy_cfg, toy_params, toy_pair):
     total = base.total_macs
     assert abs(total - 4.34e9) / 4.34e9 <= 0.25
     static_params = base.total_params
-    full_params = evalbench.total_params_with_extras(base)
+    full_params = total_params_with_extras(base)
     assert abs(static_params - 42.14e6) / 42.14e6 <= 0.25
     assert abs(full_params - 42.14e6) / 42.14e6 <= 0.25
     assert 0.05 <= base.fractions["bridge"] <= 0.10
@@ -207,7 +206,7 @@ def test_c06_cost_accounting(toy_cfg, toy_params, toy_pair):
     for name, cost in report.modules.items():
         assert counter.get(name) == cost.macs, name
     assert counter.total == report.total_macs
-    assert evalbench.total_params_with_extras(report) == count_params(toy_params)
+    assert total_params_with_extras(report) == count_params(toy_params)
     ok(6, f"base {total / 1e9:.2f} GMACs, {static_params / 1e6:.1f} M params, bridge "
           f"{base.fractions['bridge']:.1%}, router {base.extra_fraction('router'):.2%}; "
           "accountant == instrumented counters exactly")
@@ -268,7 +267,7 @@ def test_c09_dytracker_gating(toy_cfg, synthetic_suite):
                                     [1000 + si for si in range(len(synthetic_suite))])
     fitted, losses = objectives.fit_router(
         feats, targs,
-        lr=1e-2, epochs=150, seed=0, hidden=toy_cfg.router_hidden, tau_fg=toy_cfg.tau_fg)
+        lr=1e-2, epochs=150, seed=0, hidden=toy_cfg.router_hidden)
     assert losses[-1] < losses[0]
     params.router = fitted
 
@@ -280,7 +279,7 @@ def test_c09_dytracker_gating(toy_cfg, synthetic_suite):
         for t in range(1, len(seq), 10):
             patch, _ = runtime.crop_resize(seq.frames[t], gt[t - 1], 4.0, toy_cfg.search_size)
             state = stage1_forward(embed_template(tpl, params), patch, params)
-            fs.append(routing.router_score(state.s_max, fitted)[1])
+            fs.append(routing.router_score(state.s_max, fitted, toy_cfg.tau_fg)[1])
     threshold = float(np.median(fs))
 
     dyt_ious, r1_ious = [], []

@@ -17,19 +17,20 @@ def make_mha(rng, c, n_heads, d, dtype=np.float64):
     return MhaWeights(
         wq=u((c, n_heads * d)), wk=u((c, n_heads * d)),
         wv=u((c, n_heads * 2 * d)), wo=u((n_heads * 2 * d, c)),
-        bias_table=None, n_heads=n_heads, key_dim=d,
+        bias_table=np.zeros((n_heads, 1, 1)),
     )
 
 
 def naive_mha(tokens, w, bias):
     """Reference implementation: explicit per-head loop on raw numpy."""
     t = tokens.shape[0]
-    d = w.key_dim
+    n_heads = w.bias_table.shape[0]
+    d = w.wq.shape[1] // n_heads
     q = tensor.matmul(tokens, w.wq)
     k = tensor.matmul(tokens, w.wk)
     v = tensor.matmul(tokens, w.wv)
     heads = []
-    for h in range(w.n_heads):
+    for h in range(n_heads):
         qh = q[:, h * d:(h + 1) * d]
         kh = k[:, h * d:(h + 1) * d]
         vh = v[:, h * 2 * d:(h + 1) * 2 * d]
@@ -105,7 +106,7 @@ class TestMhaForward:
             wk=rng.integers(-8, 8, (8, 4)) / 16.0,
             wv=rng.integers(-8, 8, (8, 8)) / 16.0,
             wo=rng.integers(-8, 8, (8, 8)) / 16.0,
-            bias_table=None, n_heads=1, key_dim=4,
+            bias_table=np.zeros((1, 1, 1)),
         )
         x = rng.integers(-8, 8, (8, 8)) / 8.0
         bias = np.full((1, 8, 8), 0.25)
@@ -123,7 +124,7 @@ def make_sa(rng, cin, cout, n_heads, d, dtype=np.float64):
         affine=AffineParams(np.ones(cin, dtype=dtype), np.zeros(cin, dtype=dtype)),
         wq=u((cin, n_heads * d)), wk=u((cin, n_heads * d)),
         wv=u((cin, n_heads * 4 * d)), wo=u((n_heads * 4 * d, cout)),
-        bias_table=None, n_heads=n_heads, key_dim=d,
+        bias_table=np.zeros((n_heads, 1, 1)),
     )
 
 
@@ -196,13 +197,14 @@ class TestShrinkAttention:
 
 def stepwise_shrink(x, layout, w, bias):
     """Per-head loop oracle for shrink_attention, in the dtype of its inputs."""
-    d = w.key_dim
+    n_heads = w.bias_table.shape[0]
+    d = w.wq.shape[1] // n_heads
     a = x * w.affine.scale + w.affine.shift
     q = tensor.matmul(layout.subsample(a), w.wq)
     k = tensor.matmul(a, w.wk)
     v = tensor.matmul(a, w.wv)
     heads = []
-    for h in range(w.n_heads):
+    for h in range(n_heads):
         qh = q[:, h * d:(h + 1) * d]
         kh = k[:, h * d:(h + 1) * d]
         vh = v[:, h * 4 * d:(h + 1) * 4 * d]
@@ -232,7 +234,7 @@ def make_block(rng, c, n_heads, d, zero=False):
         return rng.uniform(-0.4, 0.4, size=shape)
     mha = MhaWeights(u((c, n_heads * d)), u((c, n_heads * d)),
                      u((c, n_heads * 2 * d)), u((n_heads * 2 * d, c)),
-                     None, n_heads, d)
+                     np.zeros((n_heads, 1, 1)))
     mlp = MlpWeights(u((c, 2 * c)), u(2 * c) if not zero else np.zeros(2 * c),
                      u((2 * c, c)), u(c) if not zero else np.zeros(c))
     scale = np.zeros(c) if zero else np.ones(c)

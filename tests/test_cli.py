@@ -271,7 +271,7 @@ class TestFitRouterCommand:
                      for spec in self.SYNTH.split(",")]
         features, targets = objectives.label_router_samples(sequences, seeded)
         fitted, _ = objectives.fit_router(features, targets, 1e-2, 3, 7,
-                                          hidden=cfg.router_hidden, tau_fg=cfg.tau_fg)
+                                          hidden=cfg.router_hidden)
         for (name, got), (_, want) in zip(weights.named_arrays(loaded),
                                           weights.named_arrays(seeded)):
             if name.startswith("router."):

@@ -3,13 +3,15 @@ import numpy as np
 import pytest
 
 import hitrack
-from hitrack import evalbench, tensor
+from hitrack import tensor
 from hitrack.errors import DataError
 from hitrack.evalbench import (SUCCESS_THRESHOLDS, evaluate_trace, flop_account,
                                iou, latency_bench, sweep_csv, threshold_sweep)
 from hitrack.routing import ROUTE2, make_tracker
 from hitrack.runtime import gen_synthetic
-from hitrack.weights import count_params, init_weights
+from hitrack.weights import init_weights
+
+from conftest import count_params, total_params_with_extras
 
 
 def naive_metrics(pred, gt):
@@ -127,7 +129,7 @@ class TestFlopAccount:
 
     def test_params_analytic_equals_instantiated(self, toy_cfg, toy_params):
         report = flop_account(toy_cfg)
-        assert evalbench.total_params_with_extras(report) == count_params(toy_params)
+        assert total_params_with_extras(report) == count_params(toy_params)
 
     def test_small_instrumented_equality(self):
         cfg = hitrack.make_config("small")
@@ -139,7 +141,7 @@ class TestFlopAccount:
         with tensor.count_macs() as counter:
             hitrack.forward(tpl, srch, params, route=ROUTE2)
         assert counter.total == report.total_macs
-        assert evalbench.total_params_with_extras(report) == count_params(params)
+        assert total_params_with_extras(report) == count_params(params)
 
 
 class TestLatencyBench:

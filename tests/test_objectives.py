@@ -4,9 +4,9 @@ import pytest
 from hitrack import routing, runtime
 from hitrack.backbone import embed_template, stage1_forward
 from hitrack.errors import DataError, NumericError, ShapeError
-from hitrack.objectives import (dyhit_stage2_loss, fit_router, giou, giou_with_grad,
-                                grad_check, hit_loss, l1_with_grad, label_router_samples,
-                                label_router_targets, mse_with_grad)
+from hitrack.objectives import (fit_router, giou, giou_with_grad, grad_check, hit_loss,
+                                l1_with_grad, label_router_samples, label_router_targets,
+                                mse_with_grad)
 
 from conftest import make_separable_dataset
 
@@ -68,28 +68,6 @@ class TestLosses:
         pred = tuple(c + 0.1 for c in gt)
         g = giou(pred, gt)
         assert np.isclose(hit_loss(pred, gt), 2.0 * (1.0 - g) + 5.0 * 0.4, atol=1e-12)
-
-    def test_stage2_loss_zero_at_perfect(self):
-        scores = np.full((4, 4), 0.7)
-        assert dyhit_stage2_loss((0, 0, 1, 1), (0, 0, 1, 1), scores, scores) == 0.0
-
-    def test_stage2_mse_term_weight_5(self):
-        # scores all 0 vs targets all 1: the weighted MSE term contributes 5
-        scores = np.zeros((4, 4))
-        targets = np.ones((4, 4))
-        loss = dyhit_stage2_loss((0, 0, 1, 1), (0, 0, 1, 1), scores, targets)
-        assert loss == 5.0
-
-    def test_stage2_componentwise_oracle(self):
-        rng = np.random.default_rng(2)
-        pred, gt = random_box(rng), random_box(rng)
-        scores = rng.uniform(0, 1, (4, 4))
-        targets = rng.uniform(0, 1, (4, 4))
-        g = giou(pred, gt)
-        l1, _ = l1_with_grad(pred, gt)
-        mse, _ = mse_with_grad(scores, targets)
-        assert np.isclose(dyhit_stage2_loss(pred, gt, scores, targets),
-                          (1 - g) + l1 + 5 * mse, atol=1e-12)
 
     def test_losses_nonnegative(self):
         rng = np.random.default_rng(3)
@@ -220,7 +198,7 @@ class TestFitRouter:
 
     def test_zero_epochs_is_the_seeded_draw(self):
         x, y = make_separable_dataset(seed=1, n=64, dim=8)
-        w, losses = fit_router(x, y, lr=1e-2, epochs=0, seed=9, hidden=(6, 4), tau_fg=0.3)
+        w, losses = fit_router(x, y, lr=1e-2, epochs=0, seed=9, hidden=(6, 4))
         rng = np.random.default_rng(9)
         for key, shape in (("w1", (8, 6)), ("w2", (6, 4)), ("w3", (4, 1))):
             bound = 1.0 / np.sqrt(shape[0])
@@ -229,7 +207,7 @@ class TestFitRouter:
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), key
         for key, size in (("b1", 6), ("b2", 4), ("b3", 1)):
             assert getattr(w, key).tobytes() == np.zeros(size).tobytes(), key
-        assert w.tau_fg == 0.3 and len(losses) == 1
+        assert len(losses) == 1
 
     def test_separable_dispatch_accuracy(self):
         x, y = make_separable_dataset(seed=2)

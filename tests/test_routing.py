@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ def logit(p):
     return np.log(p / (1.0 - p))
 
 
-def make_identity_router(tau_fg=0.6):
+def make_identity_router():
     """One input channel passed through to the sigmoid: score = sigmoid(x).
 
     A +100 shift keeps the hidden activations in hardswish's exact-identity
@@ -30,7 +31,7 @@ def make_identity_router(tau_fg=0.6):
     w3 = np.zeros((2, 1)); w3[0, 0] = 1.0
     b1 = np.array([100.0, 0.0])
     b3 = np.array([-100.0])
-    return RouterWeights(w1, b1, w2, np.zeros(2), w3, b3, tau_fg)
+    return RouterWeights(w1, b1, w2, np.zeros(2), w3, b3)
 
 
 def scores_to_features(scores):
@@ -45,9 +46,9 @@ def scores_to_features(scores):
 class TestRouterScore:
     def test_mean_of_scores_above_threshold(self):
         # scores {0.9, 0.7, 0.5, 0.3} with tau 0.6 pools to mean{0.9, 0.7}
-        w = make_identity_router(tau_fg=0.6)
+        w = make_identity_router()
         feats = scores_to_features([[0.9, 0.7], [0.5, 0.3]])
-        smap, f, fallback = router_score(feats, w)
+        smap, f, fallback = router_score(feats, w, 0.6)
         assert smap.shape == (2, 2)
         assert np.allclose(np.sort(smap.reshape(-1)), [0.3, 0.5, 0.7, 0.9], atol=1e-9)
         assert np.isclose(f, 0.8, atol=1e-9)
@@ -55,19 +56,19 @@ class TestRouterScore:
 
     def test_all_equal_scores(self):
         w = make_identity_router()
-        smap, f, fallback = router_score(scores_to_features([[0.95, 0.95], [0.95, 0.95]]), w)
+        smap, f, fallback = router_score(scores_to_features([[0.95, 0.95], [0.95, 0.95]]), w, 0.6)
         assert np.isclose(f, 0.95, atol=1e-9) and not fallback
 
     def test_fallback_mean_of_all(self):
-        w = make_identity_router(tau_fg=0.6)
-        smap, f, fallback = router_score(scores_to_features([[0.2, 0.4], [0.3, 0.1]]), w)
+        w = make_identity_router()
+        smap, f, fallback = router_score(scores_to_features([[0.2, 0.4], [0.3, 0.1]]), w, 0.6)
         assert fallback
         assert np.isclose(f, 0.25, atol=1e-9)
 
     def test_scores_strictly_inside_unit_interval(self, toy_params):
         rng = np.random.default_rng(0)
         feats = rng.standard_normal((8, 8, 32)).astype(np.float32) * 50
-        smap, f, _ = router_score(feats, toy_params.router)
+        smap, f, _ = router_score(feats, toy_params.router, toy_params.config.tau_fg)
         assert ((smap > 0) & (smap < 1)).all()
         assert 0.0 < f < 1.0
 
@@ -76,16 +77,17 @@ class TestRouterScore:
         base = hitrack.make_config("base")
         router = init_weights(hitrack.make_config("toy"), 0).router  # wrong dims on purpose
         with pytest.raises(ShapeError):
-            router_score(rng.standard_normal((16, 16, base.channels[0])), router)
+            router_score(rng.standard_normal((16, 16, base.channels[0])), router, base.tau_fg)
         router = init_weights(base, 0).router
-        smap, _, _ = router_score(rng.standard_normal((16, 16, base.channels[0])).astype(np.float32), router)
+        smap, _, _ = router_score(rng.standard_normal((16, 16, base.channels[0])).astype(np.float32),
+                                  router, base.tau_fg)
         assert smap.size == 256
 
     def test_route_decision_tie_goes_full(self):
         w = make_identity_router()
         feats = scores_to_features([[0.7, 0.7], [0.7, 0.7]])
-        _, f, _ = router_score(feats, w)
-        d = route_decision(feats, w, threshold=f)
+        _, f, _ = router_score(feats, w, 0.6)
+        d = route_decision(feats, w, 0.6, threshold=f)
         assert d.route == routing.ROUTE2
         assert d.f == f
 
@@ -108,7 +110,7 @@ class TestDispatch:
 
     def test_route1_when_f_above_threshold(self, toy_params, toy_pair):
         state = stage1_forward(embed_template(toy_pair[0], toy_params), toy_pair[1], toy_params)
-        d = route_decision(state.s_max, toy_params.router, 0.5)
+        d = route_decision(state.s_max, toy_params.router, toy_params.config.tau_fg, 0.5)
         t = d.f - 0.05
         pred, decision = forward(*toy_pair, toy_params, threshold=t)
         assert decision.route == routing.ROUTE1
@@ -129,7 +131,7 @@ class TestDispatch:
     def test_route_decision_rejects_nan_threshold(self):
         feats = scores_to_features([[0.7, 0.2], [0.1, 0.9]])
         with pytest.raises(DataError, match="threshold"):
-            route_decision(feats, make_identity_router(), float("nan"))
+            route_decision(feats, make_identity_router(), 0.6, float("nan"))
 
     def test_unknown_route_rejected(self, toy_params, toy_pair):
         with pytest.raises(DataError, match="route"):
@@ -142,7 +144,7 @@ class TestDispatch:
         fs = []
         for _ in range(40):
             feats = scores_to_features(rng.uniform(0.05, 0.95, size=(3, 3)))
-            fs.append(router_score(feats, w)[1])
+            fs.append(router_score(feats, w, 0.6)[1])
         fractions = []
         for t in np.linspace(0, 1, 11):
             fractions.append(np.mean([f > t for f in fs]))
@@ -157,7 +159,8 @@ class TestNonFiniteRouterScore:
     def test_route_decision_raises(self, toy_params, toy_pair):
         state = stage1_forward(embed_template(toy_pair[0], toy_params), toy_pair[1], toy_params)
         with pytest.raises(NumericError):
-            route_decision(state.s_max, nan_router_params(toy_params).router, 0.0)
+            route_decision(state.s_max, nan_router_params(toy_params).router,
+                           toy_params.config.tau_fg, 0.0)
 
     def test_track_sequence_raises(self, toy_params):
         seq = runtime.gen_synthetic(seed=37, difficulty=0, length=4)
@@ -314,7 +317,7 @@ class TestDyTracker:
         result = runtime.track_sequence(frames, gt[0], tracker)
         for d in result.decisions:
             scores = d.score_map.reshape(-1)
-            above = scores > toy_params.router.tau_fg
+            above = scores > toy_params.config.tau_fg
             f = scores[above].mean() if above.any() else scores.mean()
             assert f == d.f
             assert d.route == (routing.ROUTE1 if f > d.threshold else routing.ROUTE2)
@@ -360,7 +363,7 @@ class TestDyTracker:
                                                  routing.SEARCH_FACTOR,
                                                  toy_params.config.search_size)
             state = stage1_forward(embed_template(tpl, toy_params), patch, toy_params)
-            decision = route_decision(state.s_max, toy_params.router, 0.5)
+            decision = route_decision(state.s_max, toy_params.router, toy_params.config.tau_fg, 0.5)
             if decision.route == ROUTE1:
                 pred = route_head(state, toy_params, ROUTE1)
                 box = runtime.map_box_to_frame(pred.corners, mapping)
@@ -439,6 +442,31 @@ class TestTrackerGlue:
     def test_threshold_rejected_at_construction(self, toy_params, kind, threshold):
         with pytest.raises(DataError):
             make_tracker(kind, toy_params, threshold, base=oracle_base_tracker([(0, 0, 1, 1)], 0.0, 0))
+
+
+class TestCrossedCorners:
+    """A head box whose corners cross is reported as it is, with negative
+    extents; only the next frame's crop floors it, through ``crop_reference``."""
+
+    def test_reported_as_is_and_scored_zero(self, toy_params, monkeypatch, tmp_path):
+        crossed = SimpleNamespace(corners=(0.6, 0.6, 0.4, 0.4))
+        monkeypatch.setattr(routing, "route_head", lambda state, params, route: crossed)
+        seq = runtime.gen_synthetic(seed=41, difficulty=0, length=3)
+        gt = [tuple(b) for b in seq.boxes]
+        tracker = make_tracker("route1", toy_params)
+        tracker.init(seq.frames[0], gt[0])
+        boxes = [gt[0]]
+        for idx in (1, 2):  # frame 2 crops around frame 1's crossed box
+            box, _, _ = tracker.step(seq.frames[idx], idx, boxes[-1])
+            assert box[2] < 0 and box[3] < 0
+            boxes.append(box)
+        path = tmp_path / "boxes.txt"
+        runtime.write_boxes(path, boxes)
+        read = runtime.read_boxes(path)
+        for got, want in zip(read, boxes):
+            assert got == pytest.approx(want, abs=5e-5)
+        assert read[1][2] < 0 and read[1][3] < 0
+        assert list(hitrack.evaluate_trace(read, gt).ious[1:]) == [0.0, 0.0]
 
 
 class TestStepWritesNoInput:

@@ -1,6 +1,6 @@
 import struct
 import tracemalloc
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -9,9 +9,11 @@ import hitrack
 from hitrack import weights
 from hitrack.config import STAGE_BLOCKS
 from hitrack.errors import DataError, ShapeError
-from hitrack.routing import ROUTE2
-from hitrack.weights import (count_params, init_weights, load_weights, named_arrays,
-                             save_weights, write_archive)
+from hitrack.objectives import fit_router, label_router_samples
+from hitrack.routing import ROUTE2, make_tracker
+from hitrack.weights import init_weights, load_weights, named_arrays, save_weights, write_archive
+
+from conftest import count_params
 
 
 def reference_maker(seed):
@@ -241,6 +243,48 @@ class TestArchiveNames:
         assert [(name, id(a)) for name, a in named_arrays(params)] == want
         assert len({i for _, i in want}) == len(want)
         assert not {id(a) for _, a in cached} & {i for _, i in want}
+
+
+def scalar_fields(obj, path=""):
+    """Field paths below ``ModelParams.config`` that hold an int or a float."""
+    found = []
+    if isinstance(obj, list):
+        for i, item in enumerate(obj):
+            found += scalar_fields(item, f"{path}{i}.")
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            child = getattr(obj, f.name)
+            if isinstance(child, (int, float)):
+                found.append(path + f.name)
+            elif not isinstance(child, hitrack.ModelConfig):
+                found += scalar_fields(child, f"{path}{f.name}.")
+    return found
+
+
+class TestTreeHoldsOnlyTensors:
+    """Head count, key width and tau_fg live in the config alone."""
+
+    def test_no_scalar_field_below_config(self, toy_params):
+        assert scalar_fields(toy_params) == []
+
+    def test_fitted_router_routes_the_same_after_reload(self, tmp_path):
+        cfg = hitrack.make_config("toy", tau_fg=0.3)
+        params = init_weights(cfg, seed=7)
+        train = [hitrack.gen_synthetic(1, 0, 20)]
+        features, targets = label_router_samples(train, params)
+        fitted, _ = fit_router(features, targets, 1e-2, 20, 7, hidden=cfg.router_hidden)
+        # in the config dtype, as the archive stores it
+        params.router = replace(fitted, **{key: getattr(fitted, key).astype(cfg.np_dtype)
+                                           for key in ("w1", "b1", "w2", "b2", "w3", "b3")})
+        seq = hitrack.gen_synthetic(2, 1, 10)
+
+        def decisions(p):
+            result = hitrack.track_sequence(seq.frames, seq.boxes[0], make_tracker("dyhit", p))
+            return [(d.route, d.f, d.fallback) for d in result.decisions]
+
+        path = tmp_path / "fitted.hitw"
+        save_weights(path, params)
+        assert decisions(load_weights(path, cfg)) == decisions(params)
 
 
 class TestOnePassLoad:
