@@ -2,9 +2,10 @@
 
 MHA follows the halved-key design: per head, Q and K project to ``key_dim``
 channels while V projects to ``2 * key_dim``. Attention logits are scaled dot
-products plus a per-head learned bias gathered from the position-encoding
-table; hardswish is applied to every head's attention output before the heads
-are concatenated and projected back to the token width.
+products plus a per-head learned position bias: every layer takes one, a
+C-contiguous [N, Tq, Tk] array that ``posenc.gather_bias`` gathers from the
+layer's table. Hardswish is applied to every head's attention output before
+the heads are concatenated and projected back to the token width.
 
 Shrink Attention reduces the token count 4x: queries are the input tokens
 subsampled by ``TokenLayout.subsample`` (each grid's even-index rows and
@@ -81,7 +82,7 @@ class BlockWeights:
     mlp: MlpWeights
 
 
-def _attend(q_in: np.ndarray, kv_in: np.ndarray, w: MhaWeights | SaWeights, bias) -> np.ndarray:
+def _attend(q_in: np.ndarray, kv_in: np.ndarray, w: MhaWeights | SaWeights, bias: np.ndarray) -> np.ndarray:
     """Project, attend with all heads at once, and project back.
 
     Q, K and V are viewed as [N, T, D] head stacks, so the scores and the
@@ -95,23 +96,22 @@ def _attend(q_in: np.ndarray, kv_in: np.ndarray, w: MhaWeights | SaWeights, bias
     v = matmul(kv_in, w.wv).reshape(tk, n, -1).transpose(1, 0, 2)
     scores = matmul(q, k)
     scores /= math.sqrt(d)
-    if bias is not None:
-        scores = add_into(scores, bias)
+    scores = add_into(scores, bias)
     heads = matmul(softmax_rows(scores, out=scores), v)
     hardswish(heads, out=heads)
     return matmul(heads.transpose(1, 0, 2).reshape(tq, -1), w.wo)
 
 
-def mha_forward(tokens: np.ndarray, w: MhaWeights, bias: np.ndarray | None) -> np.ndarray:
+def mha_forward(tokens: np.ndarray, w: MhaWeights, bias: np.ndarray) -> np.ndarray:
     """Multi-head attention over a [T, C] token matrix; output is [T, C]."""
     n = tokens.shape[0]
-    if bias is not None and bias.shape[-2:] != (n, n):
+    if bias.shape[-2:] != (n, n):
         raise ShapeError(f"bias extents {bias.shape[-2:]} do not match {n} tokens")
     return _attend(tokens, tokens, w, bias)
 
 
 def shrink_attention(tokens: np.ndarray, layout: TokenLayout, w: SaWeights,
-                     bias: np.ndarray | None) -> np.ndarray:
+                     bias: np.ndarray) -> np.ndarray:
     """Downsampling attention: [T, C] -> [T/4, C_out]."""
     x = affine(tokens, w.affine.scale, w.affine.shift)
     return _attend(layout.subsample(x), x, w, bias)
@@ -122,7 +122,7 @@ def mlp_forward(tokens: np.ndarray, w: MlpWeights) -> np.ndarray:
     return linear(hardswish(hidden, out=hidden), w.w2, w.b2)
 
 
-def transformer_block(tokens: np.ndarray, bw: BlockWeights, bias: np.ndarray | None) -> np.ndarray:
+def transformer_block(tokens: np.ndarray, bw: BlockWeights, bias: np.ndarray) -> np.ndarray:
     """Residual block: x + MHA(affine(x)), then y + MLP(affine(y)).
 
     Each residual is added into the fresh branch output.

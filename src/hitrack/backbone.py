@@ -7,9 +7,9 @@ in the image's own dtype. The template and search images are then embedded
 by a shared stack of four stride-2 3x3 convolutions (16x downsampling),
 flattened, concatenated template-first and pushed through three stages of
 residual blocks joined by Shrink Attention. After stage 1 the search slice
-is recorded as the fine-resolution feature map ``s_max`` together with its
-mean ``g1``; stages 2 and 3 produce ``s_mid``, ``s_min`` and the final global
-vector ``g`` (mean over the stage-3 search tokens).
+is recorded as the fine-resolution feature map ``s_max``; stages 2 and 3
+produce ``s_mid``, ``s_min`` and the final global vector ``g`` (mean over the
+stage-3 search tokens).
 
 The forward is split so the dynamic router can stop after stage 1 without
 touching the rest of the network: ``stage1_forward`` runs the search embed
@@ -39,11 +39,11 @@ _PIXEL_SHIFT = -np.array(PIXEL_MEAN) / np.array(PIXEL_STD)
 
 @dataclass(eq=False)
 class Stage1State:
-    """Everything the early-exit route needs from the shared trunk."""
+    """Everything the early-exit route needs from the shared trunk; Head 1
+    takes the mean of ``s_max``'s rows itself."""
 
     tokens: np.ndarray      # [N1, C1] stage-1 output (S1)
     s_max: np.ndarray       # [Hx/16, Wx/16, C1] search slice of S1
-    g1: np.ndarray          # [C1] mean over the stage-1 search tokens
 
 
 def patch_embed(image: np.ndarray, ew: EmbedWeights) -> np.ndarray:
@@ -80,7 +80,7 @@ def global_vector(tokens: np.ndarray, layout: TokenLayout) -> np.ndarray:
 
 
 def _layer_bias(attn_weights, index: np.ndarray) -> np.ndarray:
-    """Gathered per-head bias for one layer, cached on the weight object.
+    """The layer's contiguous [N, Tq, Tk] bias, cached on the weight object.
 
     Weights are immutable after construction (see the concurrency notes), so
     the gather is a pure function of the layer and can be reused across
@@ -123,11 +123,7 @@ def stage1_forward(template_grid: np.ndarray, search_img: np.ndarray,
     tokens = layout1.join(template_grid, srch)
     with mac_scope("stage1"):
         tokens = _run_stage(tokens, params.stages[0], geo.stages[0])
-    return Stage1State(
-        tokens=tokens,
-        s_max=extract_search(tokens, layout1),
-        g1=global_vector(tokens, layout1),
-    )
+    return Stage1State(tokens=tokens, s_max=extract_search(tokens, layout1))
 
 
 def continue_forward(state: Stage1State,

@@ -28,7 +28,7 @@ from .boxes import iou_corners
 from .errors import DataError, NumericError, ShapeError
 from .routing import ROUTE1, SEARCH_FACTOR, TEMPLATE_FACTOR, route_head
 from .tensor import hardswish, hardswish_grad, sigmoid
-from .weights import ModelParams, RouterWeights, _uniform_maker, router_weights
+from .weights import ModelParams, RouterWeights, _uniform_maker, named_arrays, router_weights
 
 LABEL_STRIDE = 4  # label_router_samples labels frames 1, 5, 9, ... of each sequence
 
@@ -218,14 +218,17 @@ def check_fit_args(lr, epochs) -> None:
 def fit_router(features, targets, lr: float, epochs: int, seed: int, hidden=(96, 32)):
     """Fit the three-layer router to per-token targets; returns (weights, losses).
 
-    The float64 weights start from ``router_weights``' draw for ``seed``, the
-    builder ``init_weights`` uses for the seeded tree's router.
+    The fit runs in float64 from ``router_weights``' draw for ``seed``, the
+    builder ``init_weights`` uses for the seeded tree's router. The weights
+    come back in the features' float dtype, so a router fitted on a tree's
+    float32 features routes in memory as it does after a save and reload.
 
     ``losses`` holds the MSE before each update plus the final value, so
     ``losses[0]`` and ``losses[-1]`` are the initial and final training loss.
     A step size that overflows the weights shows as a non-finite loss, which
     raises ``NumericError`` naming the epoch (overflow warnings are off).
     """
+    dtype = np.result_type(np.asarray(features), np.float32)
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64).reshape(-1)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -245,7 +248,7 @@ def fit_router(features, targets, lr: float, epochs: int, seed: int, hidden=(96,
             raise NumericError(f"router fitting diverged at epoch {epoch}: loss={loss}")
         losses.append(loss)
         if epoch == epochs:
-            return w, losses
+            return RouterWeights(**{key: a.astype(dtype) for key, a in named_arrays(w)}), losses
 
         dz3 = (ds * s * (1.0 - s))[:, None]
         gw3 = a2.T @ dz3

@@ -5,7 +5,8 @@ its diagonal: the template occupies rows [0, Hz) and columns [0, Wz) while
 the search block occupies rows [Hz, Hz+Hx) and columns [Wz, Wz+Wx), so every
 token has a unique (row, col) pair and the two blocks share no row or column
 index. Attention biases are learned per head, LeViT-style, and indexed by the
-absolute coordinate offsets (|dr|, |dc|) between token pairs.
+absolute coordinate offsets (|dr|, |dc|) between token pairs; every
+attention layer takes one, gathered into a C-contiguous [N, Tq, Tk] array.
 
 Coordinates are a plain [T, 2] integer array in the token order of a
 ``config.TokenLayout``; Shrink Attention's query coordinates are
@@ -39,11 +40,13 @@ def table_shape(coords: np.ndarray) -> tuple[int, int]:
 
 
 def gather_bias(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Look up per-head biases: out[h, i, j] = table[h, dr(i,j), dc(i,j)]."""
+    """Look up per-head biases: out[h, i, j] = table[h, dr(i,j), dc(i,j)], one
+    C-contiguous array taken from the [N, rows*cols] table at ``dr * cols + dc``."""
+    n, rows, cols = table.shape
     dr = index[..., 0]
     dc = index[..., 1]
-    if dr.max() >= table.shape[1] or dc.max() >= table.shape[2]:
+    if dr.max() >= rows or dc.max() >= cols:
         raise ShapeError(
-            f"bias index exceeds table extents {table.shape[1:]}; the table was sized for a smaller grid"
+            f"bias index exceeds table extents {(rows, cols)}; the table was sized for a smaller grid"
         )
-    return table[:, dr, dc]
+    return np.take(table.reshape(n, -1), dr * cols + dc, axis=1)

@@ -7,9 +7,9 @@ F is the mean of the per-token scores that exceed the foreground threshold
 the mean of all scores (keeping F strictly inside (0, 1), so T=0 always
 routes fast and T=1 always routes full under the strict comparisons below).
 
-Dispatch (threshold T): F > T runs the fast route, Head1 on (s_max, g1),
-and the rest of the network is never executed; F <= T runs stages 2-3, the
-bridge and Head2. The tie F == T deliberately takes the full route.
+Dispatch (threshold T): F > T runs the fast route, Head1 on s_max and the
+mean of its rows, and the rest of the network is never executed; F <= T runs
+stages 2-3, the bridge and Head2. The tie F == T deliberately takes the full route.
 ``route_head`` is the one place that maps a route to its head, and
 ``_check_threshold`` the one place that checks T.
 
@@ -107,7 +107,8 @@ def route_head(state: Stage1State, params: ModelParams, route: str) -> BoxPredic
     """The route's answer from stage-1 features: Head1, or stages 2-3, the
     bridge and Head2."""
     if route == ROUTE1:
-        return corner_head(state.s_max, state.g1, params.head1, scope="head1")
+        g1 = state.s_max.reshape(-1, state.s_max.shape[2]).mean(axis=0)
+        return corner_head(state.s_max, g1, params.head1, scope="head1")
     s_mid, s_min, g = continue_forward(state, params)
     return corner_head(bridge(state.s_max, s_mid, s_min, params.bridge), g, params.head2,
                        scope="head2")

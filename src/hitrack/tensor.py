@@ -116,15 +116,13 @@ def _check_out(out: np.ndarray, shape, dtype) -> None:
 
 def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row softmax along the last axis, stabilised by max subtraction:
-    ``e / e.sum(-1)`` with ``e = exp(x - x.max(-1))``, in one buffer."""
+    ``e / e.sum(-1)`` with ``e = exp(x - x.max(-1))``, in one buffer of
+    ``x``'s float dtype."""
     x = np.asarray(x)
     if out is not None:
-        _check_out(out, x.shape, x.dtype if x.dtype.kind == "f" else np.float64)
+        _check_out(out, x.shape, x.dtype)
     e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
-    if e.dtype.kind == "f":
-        np.exp(e, out=e)
-    else:
-        e = np.exp(e)
+    np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
@@ -149,13 +147,10 @@ def hardswish_grad(x):
 
 
 def sigmoid(x):
-    x = np.asarray(x)
-    out = np.empty_like(x, dtype=x.dtype if x.dtype.kind == "f" else np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` below,
+    so exp never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def add_into(buf: np.ndarray, other) -> np.ndarray:
@@ -171,12 +166,9 @@ def add_into(buf: np.ndarray, other) -> np.ndarray:
     return buf + other
 
 
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x @ w + b for token matrices [T, in] and weights [in, out]."""
-    out = matmul(x, w)
-    if b is not None:
-        out = add_into(out, b)
-    return out
+    return add_into(matmul(x, w), b)
 
 
 def affine(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:

@@ -103,7 +103,7 @@ def test_c03_shrink_attention(toy_cfg):
         wv=rng.standard_normal((6, 24)), wo=rng.standard_normal((24, 10)),
         bias_table=np.zeros((2, 1, 1)),
     )
-    out = shrink_attention(rng.standard_normal((80, 6)), layout, w, None)
+    out = shrink_attention(rng.standard_normal((80, 6)), layout, w, np.zeros((2, 20, 80)))
     assert out.shape == (20, 10)
 
     # even-index oracle on marker values
@@ -257,34 +257,35 @@ def test_c08_sweep_monotonicity_and_speedup(toy_params, synthetic_suite):
     ok(8, f"route1 fraction non-increasing {fractions}; fps T=0/T=1 ratio {ratio:.2f} >= 1.3")
 
 
-def test_c09_dytracker_gating(toy_cfg, synthetic_suite):
-    params = init_weights(toy_cfg, seed=7)
+def check_dytracker_gating(cfg, suite):
+    """Fit the router on the suite, gate at the median F; (DyTracker mean IoU,
+    Route1-only mean IoU, route1 share)."""
+    params = init_weights(cfg, seed=7)
 
     from test_objectives import reference_labels
 
     # fit the router on real stage-1 features labeled from the noisy fast route
-    feats, targs = reference_labels(synthetic_suite, params,
-                                    [1000 + si for si in range(len(synthetic_suite))])
+    feats, targs = reference_labels(suite, params, [1000 + si for si in range(len(suite))])
     fitted, losses = objectives.fit_router(
         feats, targs,
-        lr=1e-2, epochs=150, seed=0, hidden=toy_cfg.router_hidden)
+        lr=1e-2, epochs=150, seed=0, hidden=cfg.router_hidden)
     assert losses[-1] < losses[0]
     params.router = fitted
 
     # threshold at the median pooled score so both branches genuinely fire
     fs = []
-    for seq in synthetic_suite:
+    for seq in suite:
         gt = [tuple(b) for b in seq.boxes]
-        tpl, _ = runtime.crop_resize(seq.frames[0], gt[0], 2.0, toy_cfg.template_size)
+        tpl, _ = runtime.crop_resize(seq.frames[0], gt[0], 2.0, cfg.template_size)
         for t in range(1, len(seq), 10):
-            patch, _ = runtime.crop_resize(seq.frames[t], gt[t - 1], 4.0, toy_cfg.search_size)
+            patch, _ = runtime.crop_resize(seq.frames[t], gt[t - 1], 4.0, cfg.search_size)
             state = stage1_forward(embed_template(tpl, params), patch, params)
-            fs.append(routing.router_score(state.s_max, fitted, toy_cfg.tau_fg)[1])
+            fs.append(routing.router_score(state.s_max, fitted, cfg.tau_fg)[1])
     threshold = float(np.median(fs))
 
     dyt_ious, r1_ious = [], []
     routes = []
-    for si, seq in enumerate(synthetic_suite):
+    for si, seq in enumerate(suite):
         gt = [tuple(b) for b in seq.boxes]
         noisy = routing.oracle_base_tracker(gt, 0.15, seed=1000 + si)
         base = routing.oracle_base_tracker(gt, 0.02, seed=2000 + si)
@@ -306,7 +307,20 @@ def test_c09_dytracker_gating(toy_cfg, synthetic_suite):
     r1_mean = float(np.mean(r1_ious))
     share = routes.count(routing.ROUTE1) / len(routes)
     assert dyt_mean >= r1_mean
+    return dyt_mean, r1_mean, share
+
+
+def test_c09_dytracker_gating(toy_cfg, synthetic_suite):
+    dyt_mean, r1_mean, share = check_dytracker_gating(toy_cfg, synthetic_suite)
     ok(9, f"DyTracker mean IoU {dyt_mean:.3f} >= Route1-only {r1_mean:.3f} "
+          f"(route1 share {share:.0%}); outputs equal the chosen branch exactly")
+
+
+def test_c09_dytracker_gating_tiny(tiny_cfg):
+    suite = [runtime.gen_synthetic(seed=200 + i, difficulty=d, length=12)
+             for i, d in enumerate([0, 1, 2, 3])]
+    dyt_mean, r1_mean, share = check_dytracker_gating(tiny_cfg, suite)
+    ok(9, f"tiny: DyTracker mean IoU {dyt_mean:.3f} >= Route1-only {r1_mean:.3f} "
           f"(route1 share {share:.0%}); outputs equal the chosen branch exactly")
 
 

@@ -21,6 +21,11 @@ def make_mha(rng, c, n_heads, d, dtype=np.float64):
     )
 
 
+def zero_bias(n_heads, tq, tk):
+    """A position bias that adds nothing: [N, Tq, Tk] zeros."""
+    return np.zeros((n_heads, tq, tk))
+
+
 def naive_mha(tokens, w, bias):
     """Reference implementation: explicit per-head loop on raw numpy."""
     t = tokens.shape[0]
@@ -48,7 +53,7 @@ class TestMhaForward:
         rng = np.random.default_rng(0)
         w = make_mha(rng, c=8, n_heads=2, d=4)
         w.wo = np.zeros_like(w.wo)
-        out = mha_forward(rng.standard_normal((6, 8)), w, None)
+        out = mha_forward(rng.standard_normal((6, 8)), w, zero_bias(2, 6, 6))
         assert out.shape == (6, 8)
         assert not out.any()
 
@@ -57,7 +62,7 @@ class TestMhaForward:
         w = make_mha(rng, c=8, n_heads=1, d=4)
         w.wq = np.zeros_like(w.wq)
         x = rng.standard_normal((5, 8))
-        out = mha_forward(x, w, None)
+        out = mha_forward(x, w, zero_bias(1, 5, 5))
         v = tensor.matmul(x, w.wv)
         pooled = tensor.hardswish(v.mean(axis=0, keepdims=True))
         expect = np.repeat(tensor.matmul(pooled, w.wo), 5, axis=0)
@@ -132,7 +137,7 @@ class TestShrinkAttention:
     def test_token_count_divided_by_four(self):
         rng = np.random.default_rng(5)
         w = make_sa(rng, cin=6, cout=10, n_heads=2, d=3)
-        out = shrink_attention(rng.standard_normal((80, 6)), LAYOUT, w, None)
+        out = shrink_attention(rng.standard_normal((80, 6)), LAYOUT, w, zero_bias(2, 20, 80))
         assert out.shape == (20, 10)
 
     def test_subsampled_positions_are_even_index_grid_points(self):
@@ -168,7 +173,7 @@ class TestShrinkAttention:
         w = make_sa(rng, cin=6, cout=10, n_heads=1, d=3)
         layout = TokenLayout((3, 4), (8, 8))
         with pytest.raises(ShapeError):
-            shrink_attention(rng.standard_normal((76, 6)), layout, w, None)
+            shrink_attention(rng.standard_normal((76, 6)), layout, w, zero_bias(1, 19, 76))
 
     def test_matches_stepwise_oracle(self):
         rng = np.random.default_rng(8)
@@ -247,13 +252,13 @@ class TestTransformerBlock:
         rng = np.random.default_rng(9)
         bw = make_block(rng, c=6, n_heads=2, d=3, zero=True)
         x = rng.standard_normal((10, 6))
-        assert np.array_equal(transformer_block(x, bw, None), x)
+        assert np.array_equal(transformer_block(x, bw, zero_bias(2, 10, 10)), x)
 
     def test_output_shape_matches_input(self):
         rng = np.random.default_rng(10)
         bw = make_block(rng, c=6, n_heads=2, d=3)
         x = rng.standard_normal((10, 6))
-        assert transformer_block(x, bw, None).shape == x.shape
+        assert transformer_block(x, bw, zero_bias(2, 10, 10)).shape == x.shape
 
     def test_matches_stepwise_composition(self):
         rng = np.random.default_rng(11)

@@ -3,10 +3,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hitrack import backbone, make_config, tensor
+from hitrack import backbone, make_config, posenc, routing, tensor
 from hitrack.backbone import (PIXEL_MEAN, PIXEL_STD, continue_forward, embed_template,
                               extract_search, global_vector, patch_embed, stage1_forward)
-from hitrack.config import TokenLayout, geometry
+from hitrack.config import VARIANTS, TokenLayout, geometry
 from hitrack.errors import ShapeError
 from hitrack.weights import init_weights, zero_weights
 
@@ -96,7 +96,8 @@ def backbone_forward(template_img, search_img, params):
     """Both halves of the backbone on one pair, every output by name."""
     state = stage1_forward(embed_template(template_img, params), search_img, params)
     s_mid, s_min, g = continue_forward(state, params)
-    return SimpleNamespace(s_max=state.s_max, s_mid=s_mid, s_min=s_min, g=g, g1=state.g1,
+    return SimpleNamespace(s_max=state.s_max, s_mid=s_mid, s_min=s_min, g=g,
+                           g1=global_vector(state.tokens, params.config.layout(0)),
                            s1=state.tokens)
 
 
@@ -131,7 +132,8 @@ class TestBackboneForward:
         state = stage1_forward(embed_template(toy_pair[0], params), toy_pair[1], params)
         embedded = patch_embed(toy_pair[1], params.embed)
         assert np.array_equal(state.s_max, embedded)
-        assert np.allclose(state.g1, embedded.reshape(-1, 32).mean(axis=0), atol=1e-6)
+        assert np.allclose(global_vector(state.tokens, toy_cfg.layout(0)),
+                           embedded.reshape(-1, 32).mean(axis=0), atol=1e-6)
 
     def test_constant_input_zero_weights(self, toy_cfg):
         params = zero_weights(toy_cfg)
@@ -205,3 +207,40 @@ class TestGlobalVector:
         outs = backbone_forward(*toy_pair, toy_params)
         assert outs.g.shape == (toy_params.config.channels[2],)
 
+    def test_head1_reads_the_stage1_global_vector(self, toy_params, toy_pair, monkeypatch):
+        seen = []
+        real = routing.corner_head
+
+        def spy(s_max, g, *args, **kwargs):
+            seen.append(g)
+            return real(s_max, g, *args, **kwargs)
+
+        monkeypatch.setattr(routing, "corner_head", spy)
+        state = stage1_forward(embed_template(toy_pair[0], toy_params), toy_pair[1], toy_params)
+        routing.route_head(state, toy_params, routing.ROUTE1)
+        want = global_vector(state.tokens, toy_params.config.layout(0))
+        assert seen[0].dtype == want.dtype and seen[0].tobytes() == want.tobytes()
+
+
+class TestLayerBias:
+    """Every attention layer takes one C-contiguous [N, Tq, Tk] bias."""
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_contiguous_and_equal_to_loop_gather(self, variant):
+        cfg = make_config(variant)
+        params = init_weights(cfg, seed=7)
+        geo = geometry(cfg)
+        layers = []
+        for s in range(3):
+            keys = posenc.dual_coords(geo.stages[s].layout)
+            layers += [(bw.attn, geo.stages[s], keys, keys) for bw in params.stages[s]]
+            if s < 2:
+                layers.append((params.shrinks[s], geo.shrinks[s], keys,
+                               geo.shrinks[s].layout.subsample(keys)))
+        for w, g, keys, queries in layers:
+            got = backbone._layer_bias(w, g.bias_index)
+            assert got.flags.c_contiguous
+            want = np.empty((w.bias_table.shape[0], len(queries), len(keys)), w.bias_table.dtype)
+            for i, (r, c) in enumerate(queries):
+                want[:, i] = w.bias_table[:, np.abs(r - keys[:, 0]), np.abs(c - keys[:, 1])]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

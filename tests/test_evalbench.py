@@ -91,7 +91,8 @@ class TestFlopAccount:
     def test_single_linear_layer_product_rule(self):
         # 10 tokens, 4 -> 8 channels: 320 MACs
         with tensor.count_macs() as counter:
-            tensor.linear(np.zeros((10, 4), dtype=np.float32), np.zeros((4, 8), dtype=np.float32))
+            tensor.linear(np.zeros((10, 4), dtype=np.float32), np.zeros((4, 8), dtype=np.float32),
+                          np.zeros(8, dtype=np.float32))
         assert counter.total == 10 * 4 * 8 == 320
 
     def test_base_total_within_quarter_of_4_34g(self):

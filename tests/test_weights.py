@@ -1,6 +1,6 @@
 import struct
 import tracemalloc
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -272,10 +272,8 @@ class TestTreeHoldsOnlyTensors:
         params = init_weights(cfg, seed=7)
         train = [hitrack.gen_synthetic(1, 0, 20)]
         features, targets = label_router_samples(train, params)
-        fitted, _ = fit_router(features, targets, 1e-2, 20, 7, hidden=cfg.router_hidden)
-        # in the config dtype, as the archive stores it
-        params.router = replace(fitted, **{key: getattr(fitted, key).astype(cfg.np_dtype)
-                                           for key in ("w1", "b1", "w2", "b2", "w3", "b3")})
+        # no cast: the router comes back in the features' dtype, as the archive stores it
+        params.router, _ = fit_router(features, targets, 1e-2, 20, 7, hidden=cfg.router_hidden)
         seq = hitrack.gen_synthetic(2, 1, 10)
 
         def decisions(p):
@@ -337,7 +335,7 @@ class TestOnePassLoad:
             assert got.tobytes() == want.astype(loaded).tobytes(), name
 
     def test_save_stores_the_config_dtype(self, toy_cfg, tmp_path):
-        # a float64 router in a float32 tree, as objectives.fit_router returns it
+        # a float64 router set by hand in a float32 tree
         params = init_weights(toy_cfg, seed=7)
         router = params.router
         for key in ("w1", "b1", "w2", "b2", "w3", "b3"):
