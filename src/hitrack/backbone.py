@@ -6,15 +6,16 @@ per channel as ``(x / 255 - mean) / std`` with ImageNet's statistics
 in the image's own dtype. The template and search images are then embedded
 by a shared stack of four stride-2 3x3 convolutions (16x downsampling),
 flattened, concatenated template-first and pushed through three stages of
-residual blocks joined by Shrink Attention. After stage 1 the search slice
-is recorded as the fine-resolution feature map ``s_max``; stages 2 and 3
-produce ``s_mid``, ``s_min`` and the final global vector ``g`` (mean over the
-stage-3 search tokens).
+residual blocks joined by Shrink Attention. Each stage's search grid is read
+through ``TokenLayout.split``: stage 1 gives the fine-resolution feature map
+``s_max``, stages 2 and 3 give ``s_mid`` and ``s_min``. A head's global
+vector is ``global_vector`` of a search grid, the mean of its tokens: Head 1
+takes it of ``s_max``, Head 2 of ``s_min``.
 
 The forward is split so the dynamic router can stop after stage 1 without
 touching the rest of the network: ``stage1_forward`` runs the search embed
 and stage 1 on the template's ``embed_template`` grid (computed once per
-sequence), and ``continue_forward`` returns stages 2-3's ``(s_mid, s_min, g)``.
+sequence), and ``continue_forward`` returns stages 2-3's ``(s_mid, s_min)``.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import posenc
 from .attention import shrink_attention, transformer_block
-from .config import TokenLayout, geometry
+from .config import geometry
 from .errors import ShapeError
 from .tensor import affine, conv2d, hardswish, mac_scope
 from .weights import EmbedWeights, ModelParams
@@ -39,8 +40,8 @@ _PIXEL_SHIFT = -np.array(PIXEL_MEAN) / np.array(PIXEL_STD)
 
 @dataclass(eq=False)
 class Stage1State:
-    """Everything the early-exit route needs from the shared trunk; Head 1
-    takes the mean of ``s_max``'s rows itself."""
+    """Everything the early-exit route needs from the shared trunk; Head 1's
+    global vector is ``global_vector(s_max)``."""
 
     tokens: np.ndarray      # [N1, C1] stage-1 output (S1)
     s_max: np.ndarray       # [Hx/16, Wx/16, C1] search slice of S1
@@ -68,15 +69,10 @@ def patch_embed(image: np.ndarray, ew: EmbedWeights) -> np.ndarray:
     return x
 
 
-def extract_search(tokens: np.ndarray, layout: TokenLayout) -> np.ndarray:
-    """Search-region tokens reshaped to their spatial grid."""
-    return layout.split(tokens)[1]
-
-
-def global_vector(tokens: np.ndarray, layout: TokenLayout) -> np.ndarray:
-    """Arithmetic mean over the search-region tokens, taken on their [N, C]
-    rows so the sum runs in token order."""
-    return layout.split(tokens)[1].reshape(layout.n_search, -1).mean(axis=0)
+def global_vector(grid: np.ndarray) -> np.ndarray:
+    """A head's global vector: the mean over a [H, W, C] search grid's tokens,
+    taken on its [H*W, C] rows so the sum runs in token order."""
+    return grid.reshape(-1, grid.shape[-1]).mean(axis=0)
 
 
 def _layer_bias(attn_weights, index: np.ndarray) -> np.ndarray:
@@ -99,38 +95,34 @@ def _run_stage(tokens: np.ndarray, blocks, stage_geo) -> np.ndarray:
     return tokens
 
 
+def _embed(image: np.ndarray, size: int, what: str, params: ModelParams) -> np.ndarray:
+    """Patch-embed grid of a ``size``-square image in the config dtype."""
+    if image.shape[:2] != (size, size):
+        raise ShapeError(f"{what} is {image.shape[:2]}, config expects {size}x{size}")
+    with mac_scope("embed"):
+        return patch_embed(np.asarray(image, dtype=params.config.np_dtype), params.embed)
+
+
 def embed_template(template_img: np.ndarray, params: ModelParams) -> np.ndarray:
     """Template patch-embed grid, computable once per sequence."""
-    cfg = params.config
-    if template_img.shape[:2] != (cfg.template_size, cfg.template_size):
-        raise ShapeError(
-            f"template is {template_img.shape[:2]}, config expects {cfg.template_size}x{cfg.template_size}")
-    with mac_scope("embed"):
-        return patch_embed(np.asarray(template_img, dtype=cfg.np_dtype), params.embed)
+    return _embed(template_img, params.config.template_size, "template", params)
 
 
 def stage1_forward(template_grid: np.ndarray, search_img: np.ndarray,
                    params: ModelParams) -> Stage1State:
     """Search embed and stage 1 on top of the template's ``embed_template`` grid."""
-    cfg = params.config
-    if search_img.shape[:2] != (cfg.search_size, cfg.search_size):
-        raise ShapeError(
-            f"search is {search_img.shape[:2]}, config expects {cfg.search_size}x{cfg.search_size}")
-    geo = geometry(cfg)
-    with mac_scope("embed"):
-        srch = patch_embed(np.asarray(search_img, dtype=cfg.np_dtype), params.embed)
+    srch = _embed(search_img, params.config.search_size, "search", params)
+    geo = geometry(params.config)
     layout1 = geo.stages[0].layout
     tokens = layout1.join(template_grid, srch)
     with mac_scope("stage1"):
         tokens = _run_stage(tokens, params.stages[0], geo.stages[0])
-    return Stage1State(tokens=tokens, s_max=extract_search(tokens, layout1))
+    return Stage1State(tokens=tokens, s_max=layout1.split(tokens)[1])
 
 
-def continue_forward(state: Stage1State,
-                     params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def continue_forward(state: Stage1State, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Stages 2 and 3 (with their shrink layers) on top of a stage-1 state:
-    ``(s_mid, s_min, g)``, the search maps of stages 2 and 3 and the mean over
-    the stage-3 search tokens."""
+    ``(s_mid, s_min)``, the search grids of stages 2 and 3."""
     geo = geometry(params.config)
     tokens = state.tokens
 
@@ -143,10 +135,9 @@ def continue_forward(state: Stage1State,
         tokens = shrink(0, tokens)
     with mac_scope("stage2"):
         tokens = _run_stage(tokens, params.stages[1], geo.stages[1])
-    s_mid = extract_search(tokens, geo.stages[1].layout)
+    s_mid = geo.stages[1].layout.split(tokens)[1]
     with mac_scope("sa2"):
         tokens = shrink(1, tokens)
     with mac_scope("stage3"):
         tokens = _run_stage(tokens, params.stages[2], geo.stages[2])
-    layout3 = geo.stages[2].layout
-    return s_mid, extract_search(tokens, layout3), global_vector(tokens, layout3)
+    return s_mid, geo.stages[2].layout.split(tokens)[1]

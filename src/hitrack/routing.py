@@ -7,8 +7,8 @@ F is the mean of the per-token scores that exceed the foreground threshold
 the mean of all scores (keeping F strictly inside (0, 1), so T=0 always
 routes fast and T=1 always routes full under the strict comparisons below).
 
-Dispatch (threshold T): F > T runs the fast route, Head1 on s_max and the
-mean of its rows, and the rest of the network is never executed; F <= T runs
+Dispatch (threshold T): F > T runs the fast route, Head1 on s_max and its
+global vector, and the rest of the network is never executed; F <= T runs
 stages 2-3, the bridge and Head2. The tie F == T deliberately takes the full route.
 ``route_head`` is the one place that maps a route to its head, and
 ``_check_threshold`` the one place that checks T.
@@ -31,7 +31,8 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from . import runtime
-from .backbone import Stage1State, continue_forward, embed_template, stage1_forward
+from .backbone import (Stage1State, continue_forward, embed_template, global_vector,
+                       stage1_forward)
 from .errors import DataError, NumericError, ShapeError
 from .fusion import BoxPrediction, bridge, corner_head
 from .tensor import hardswish, linear, mac_scope, sigmoid
@@ -105,13 +106,13 @@ def route_decision(s_max_feat: np.ndarray, w: RouterWeights, tau_fg: float,
 
 def route_head(state: Stage1State, params: ModelParams, route: str) -> BoxPrediction:
     """The route's answer from stage-1 features: Head1, or stages 2-3, the
-    bridge and Head2."""
+    bridge and Head2. Each head's global vector is ``global_vector`` of a
+    search grid: ``s_max`` for Head1, stage 3's ``s_min`` for Head2."""
     if route == ROUTE1:
-        g1 = state.s_max.reshape(-1, state.s_max.shape[2]).mean(axis=0)
-        return corner_head(state.s_max, g1, params.head1, scope="head1")
-    s_mid, s_min, g = continue_forward(state, params)
-    return corner_head(bridge(state.s_max, s_mid, s_min, params.bridge), g, params.head2,
-                       scope="head2")
+        return corner_head(state.s_max, global_vector(state.s_max), params.head1, scope="head1")
+    s_mid, s_min = continue_forward(state, params)
+    return corner_head(bridge(state.s_max, s_mid, s_min, params.bridge), global_vector(s_min),
+                       params.head2, scope="head2")
 
 
 def forward(template_img, search_img, params: ModelParams, route: str | None = None,

@@ -35,7 +35,6 @@ class CropMapping:
 
     center: tuple[float, float]
     side: float
-    out_size: int
 
     @property
     def origin(self) -> tuple[float, float]:
@@ -84,7 +83,7 @@ def crop_resize(frame: np.ndarray, box_xywh, factor: float, out_size: int):
     side = float(factor * np.sqrt(w * h))
     cx = x + w / 2.0
     cy = y + h / 2.0
-    mapping = CropMapping((cx, cy), side, int(out_size))
+    mapping = CropMapping((cx, cy), side)
     x0, y0 = mapping.origin
     # Every integer below 2**53 is a float64, so the taps floor to int64 exactly.
     if not (side > 0.0 and abs(x0) + side < 2.0**53 and abs(y0) + side < 2.0**53):

@@ -244,17 +244,32 @@ def synthetic_suite():
             for i, d in enumerate([0, 1, 2, 3, 0])]
 
 
-def test_c08_sweep_monotonicity_and_speedup(toy_params, synthetic_suite):
-    assert sum(len(s) for s in synthetic_suite) == 500
-    warm = [runtime.gen_synthetic(seed=199, difficulty=0, length=8)]
-    threshold_sweep([0.0, 1.0], warm, toy_params)  # warm both dispatch paths
-    rows = threshold_sweep([0.0, 0.25, 0.5, 0.75, 1.0], synthetic_suite, toy_params)
+def check_sweep(params, suite, warm_length):
+    """Route1 fraction over T = 0..1 and the T=0/T=1 fps ratio, asserted
+    non-increasing and at least 1.3."""
+    warm = [runtime.gen_synthetic(seed=199, difficulty=0, length=warm_length)]
+    threshold_sweep([0.0, 1.0], warm, params)  # warm both dispatch paths
+    rows = threshold_sweep([0.0, 0.25, 0.5, 0.75, 1.0], suite, params)
     fractions = [r.route1_fraction for r in rows]
     assert all(a >= b for a, b in zip(fractions, fractions[1:])), fractions
-    timing = threshold_sweep([0.0, 1.0], synthetic_suite, toy_params)
+    timing = threshold_sweep([0.0, 1.0], suite, params)
     ratio = timing[0].fps / timing[1].fps
     assert ratio >= 1.3, f"fps ratio {ratio:.2f}"
+    return fractions, ratio
+
+
+def test_c08_sweep_monotonicity_and_speedup(toy_params, synthetic_suite):
+    assert sum(len(s) for s in synthetic_suite) == 500
+    fractions, ratio = check_sweep(toy_params, synthetic_suite, warm_length=8)
     ok(8, f"route1 fraction non-increasing {fractions}; fps T=0/T=1 ratio {ratio:.2f} >= 1.3")
+
+
+def test_c08_sweep_monotonicity_and_speedup_tiny(tiny_params):
+    suite = [runtime.gen_synthetic(seed=200 + i, difficulty=d, length=5)
+             for i, d in enumerate([0, 1, 2, 3])]
+    fractions, ratio = check_sweep(tiny_params, suite, warm_length=3)
+    ok(8, f"tiny: route1 fraction non-increasing {fractions}; "
+          f"fps T=0/T=1 ratio {ratio:.2f} >= 1.3")
 
 
 def check_dytracker_gating(cfg, suite):

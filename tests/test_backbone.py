@@ -5,7 +5,7 @@ import pytest
 
 from hitrack import backbone, make_config, posenc, routing, tensor
 from hitrack.backbone import (PIXEL_MEAN, PIXEL_STD, continue_forward, embed_template,
-                              extract_search, global_vector, patch_embed, stage1_forward)
+                              global_vector, patch_embed, stage1_forward)
 from hitrack.config import VARIANTS, TokenLayout, geometry
 from hitrack.errors import ShapeError
 from hitrack.weights import init_weights, zero_weights
@@ -95,10 +95,9 @@ class TestLayoutChain:
 def backbone_forward(template_img, search_img, params):
     """Both halves of the backbone on one pair, every output by name."""
     state = stage1_forward(embed_template(template_img, params), search_img, params)
-    s_mid, s_min, g = continue_forward(state, params)
-    return SimpleNamespace(s_max=state.s_max, s_mid=s_mid, s_min=s_min, g=g,
-                           g1=global_vector(state.tokens, params.config.layout(0)),
-                           s1=state.tokens)
+    s_mid, s_min = continue_forward(state, params)
+    return SimpleNamespace(s_max=state.s_max, s_mid=s_mid, s_min=s_min, g=global_vector(s_min),
+                           g1=global_vector(state.s_max), s1=state.tokens)
 
 
 class TestBackboneForward:
@@ -132,7 +131,7 @@ class TestBackboneForward:
         state = stage1_forward(embed_template(toy_pair[0], params), toy_pair[1], params)
         embedded = patch_embed(toy_pair[1], params.embed)
         assert np.array_equal(state.s_max, embedded)
-        assert np.allclose(global_vector(state.tokens, toy_cfg.layout(0)),
+        assert np.allclose(global_vector(state.s_max),
                            embedded.reshape(-1, 32).mean(axis=0), atol=1e-6)
 
     def test_constant_input_zero_weights(self, toy_cfg):
@@ -163,45 +162,49 @@ class TestBackboneForward:
 
 
 class TestExtractSearch:
+    """Every caller reads a stage's search grid as ``layout.split(tokens)[1]``."""
+
     LAYOUT = TokenLayout((4, 4), (8, 8))
+
+    def search_grid(self, tokens):
+        return self.LAYOUT.split(tokens)[1]
 
     def test_grid_shape(self):
         rng = np.random.default_rng(4)
         tokens = rng.standard_normal((80, 6))
-        assert extract_search(tokens, self.LAYOUT).shape == (8, 8, 6)
+        assert self.search_grid(tokens).shape == (8, 8, 6)
 
     def test_round_trip_flatten_unflatten(self):
         rng = np.random.default_rng(5)
         tokens = rng.standard_normal((80, 6))
-        grid = extract_search(tokens, self.LAYOUT)
+        grid = self.search_grid(tokens)
         assert np.array_equal(grid.reshape(64, 6), tokens[16:])
 
     def test_positional_one_hot_survives(self):
         tokens = np.zeros((80, 3))
         tokens[16 + 8 * 2 + 5, 1] = 1.0  # search cell (2, 5)
-        grid = extract_search(tokens, self.LAYOUT)
+        grid = self.search_grid(tokens)
         assert grid[2, 5, 1] == 1.0 and grid.sum() == 1.0
 
     def test_layout_mismatch(self):
         with pytest.raises(ShapeError):
-            extract_search(np.zeros((70, 6)), self.LAYOUT)
+            self.search_grid(np.zeros((70, 6)))
 
 
 class TestGlobalVector:
-    LAYOUT = TokenLayout((2, 2), (4, 4))
-
     def test_constant_tokens(self):
-        tokens = np.full((20, 5), 3.25)
-        assert np.array_equal(global_vector(tokens, self.LAYOUT), np.full(5, 3.25))
+        grid = np.full((4, 4, 5), 3.25)
+        assert np.array_equal(global_vector(grid), np.full(5, 3.25))
 
     def test_matches_naive_mean(self):
         rng = np.random.default_rng(6)
-        tokens = rng.standard_normal((20, 5))
+        grid = rng.standard_normal((4, 4, 5))
         expect = np.zeros(5)
-        for i in range(4, 20):
-            expect += tokens[i]
+        for r in range(4):
+            for c in range(4):
+                expect += grid[r, c]
         expect /= 16
-        assert np.allclose(global_vector(tokens, self.LAYOUT), expect, atol=1e-12)
+        assert np.allclose(global_vector(grid), expect, atol=1e-12)
 
     def test_channel_count_follows_stage(self, toy_params, toy_pair):
         outs = backbone_forward(*toy_pair, toy_params)
@@ -218,7 +221,27 @@ class TestGlobalVector:
         monkeypatch.setattr(routing, "corner_head", spy)
         state = stage1_forward(embed_template(toy_pair[0], toy_params), toy_pair[1], toy_params)
         routing.route_head(state, toy_params, routing.ROUTE1)
-        want = global_vector(state.tokens, toy_params.config.layout(0))
+        want = global_vector(state.s_max)
+        assert seen[0].dtype == want.dtype and seen[0].tobytes() == want.tobytes()
+
+    def test_head2_reads_the_stage3_global_vector(self, toy_params, toy_pair, monkeypatch):
+        seen, grids = [], []
+        real_head, real_continue = routing.corner_head, routing.continue_forward
+
+        def head_spy(features, g, *args, **kwargs):
+            seen.append(g)
+            return real_head(features, g, *args, **kwargs)
+
+        def continue_spy(*args):
+            grids.append(real_continue(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(routing, "corner_head", head_spy)
+        monkeypatch.setattr(routing, "continue_forward", continue_spy)
+        state = stage1_forward(embed_template(toy_pair[0], toy_params), toy_pair[1], toy_params)
+        routing.route_head(state, toy_params, routing.ROUTE2)
+        s_min = grids[0][1]
+        want = s_min.reshape(-1, s_min.shape[2]).mean(axis=0)
         assert seen[0].dtype == want.dtype and seen[0].tobytes() == want.tobytes()
 
 

@@ -1,4 +1,6 @@
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,42 @@ class TestFlopAccount:
             hitrack.forward(tpl, srch, params, route=ROUTE2)
         assert counter.total == report.total_macs
         assert total_params_with_extras(report) == count_params(params)
+
+
+class TestScopeLabels:
+    """Every label a tracker opens is one the cost model prices.
+
+    Tracing tools map known labels to spans and sum only those, so a scope
+    under a new label must be registered in ``flop_account`` first.
+    """
+
+    def test_every_opened_label_is_costed(self, toy_params, monkeypatch):
+        opened = set()
+        real = tensor.mac_scope
+
+        def recording_scope(label):
+            opened.add(label)
+            return real(label)
+
+        # modules import mac_scope by name, so replace it in each of them
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "hitrack" or name.startswith("hitrack.")):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, recording_scope)
+        report = flop_account(toy_params.config)
+        costed = set(report.modules) | set(report.extras)
+        seq = gen_synthetic(seed=23, difficulty=2, length=6)
+        gt = [tuple(float(v) for v in b) for b in seq.boxes]
+        seen = set()
+        for kind in ("full", "route1", "dyhit", "dytracker"):
+            opened.clear()
+            base = hitrack.oracle_base_tracker(gt, 0.05, seed=23) if kind == "dytracker" else None
+            hitrack.track_sequence(list(seq.frames), gt[0],
+                                   make_tracker(kind, toy_params, base=base))
+            assert opened and opened <= costed, (kind, opened - costed)
+            seen |= opened
+        assert seen == costed
 
 
 class TestLatencyBench:

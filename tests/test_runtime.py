@@ -75,7 +75,7 @@ def reference_crop(frame, box_xywh, factor, out_size):
     side = factor * np.sqrt(w * h)
     cx = x + w / 2.0
     cy = y + h / 2.0
-    mapping = CropMapping((cx, cy), float(side), int(out_size))
+    mapping = CropMapping((cx, cy), float(side))
     x0, y0 = mapping.origin
 
     fh, fw = frame.shape[:2]
@@ -267,17 +267,17 @@ class TestCropRejectsNonFinite:
 
 class TestMapBoxToFrame:
     def test_identity_mapping(self):
-        m = CropMapping((32.0, 32.0), 64.0, 64)
+        m = CropMapping((32.0, 32.0), 64.0)
         assert map_box_to_frame((0.0, 0.0, 1.0, 1.0), m) == (0.0, 0.0, 64.0, 64.0)
 
     def test_center_box(self):
-        m = CropMapping((50.0, 40.0), 20.0, 64)
+        m = CropMapping((50.0, 40.0), 20.0)
         x, y, w, h = map_box_to_frame((0.25, 0.25, 0.75, 0.75), m)
         assert np.isclose(x + w / 2, 50.0) and np.isclose(y + h / 2, 40.0)
 
     def test_random_round_trip(self):
         rng = np.random.default_rng(1)
-        m = CropMapping((37.3, 91.2), 55.5, 128)
+        m = CropMapping((37.3, 91.2), 55.5)
         for _ in range(50):
             c = np.sort(rng.uniform(0, 1, 2))
             d = np.sort(rng.uniform(0, 1, 2))

@@ -1,10 +1,11 @@
+import dataclasses
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from hitrack import forward, tensor
+from hitrack import flop_account, forward, gen_synthetic, make_tracker, tensor, track_sequence
 from hitrack.errors import ShapeError
 from hitrack.routing import ROUTE2
 
@@ -561,3 +562,39 @@ class TestMacCountingThreads:
             sys.setswitchinterval(interval)
         expect = {label: reps * n for label, n in solo.counts.items()}
         assert readings == [expect] * n_threads
+
+    def test_two_routes_in_two_threads_each_count_their_closed_form(self, toy_params):
+        # route1 and full trackers step one sequence at once; each counter
+        # holds its own route's closed form, the template embed once at init
+        cfg = toy_params.config
+        seq = gen_synthetic(seed=31, difficulty=1, length=6)
+        frames, box = list(seq.frames), tuple(float(v) for v in seq.boxes[0])
+        report = flop_account(cfg)
+        modules = {k: c.macs for k, c in report.modules.items()}
+        square = dataclasses.replace(cfg, search_size=cfg.template_size)
+        template = flop_account(square).modules["embed"].macs // 2
+        search = {"embed": modules["embed"] - template, "stage1": modules["stage1"]}
+        per_step = {"route1": {**search, "head1": report.extras["head1"].macs},
+                    "full": {**modules, **search}}
+        steps = len(frames) - 1
+        expect = {kind: {label: steps * n + (template if label == "embed" else 0)
+                         for label, n in counts.items()}
+                  for kind, counts in per_step.items()}
+        kinds = list(per_step)
+        readings = [None] * len(kinds)
+        start = threading.Barrier(len(kinds), timeout=60)
+
+        def work(i):
+            tracker = make_tracker(kinds[i], toy_params)
+            start.wait()
+            with tensor.count_macs() as counter:
+                track_sequence(frames, box, tracker)
+            readings[i] = counter.counts
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(work, len(kinds))
+        finally:
+            sys.setswitchinterval(interval)
+        assert readings == [expect[kind] for kind in kinds]
