@@ -1,16 +1,17 @@
 """Multi-Head Attention, Shrink Attention and the residual transformer block.
 
 MHA follows the halved-key design: per head, Q and K project to ``key_dim``
-channels while V projects to ``2 * key_dim``. Attention logits are scaled dot
-products plus a per-head learned position bias: every layer takes one, a
-C-contiguous [N, Tq, Tk] array that ``posenc.gather_bias`` gathers from the
-layer's table. Hardswish is applied to every head's attention output before
-the heads are concatenated and projected back to the token width.
+channels while V projects to ``config.MHA_VALUE_RATIO * key_dim``. Attention
+logits are scaled dot products plus a per-head learned position bias: every
+layer takes one, a C-contiguous [N, Tq, Tk] array that ``posenc.gather_bias``
+gathers from the layer's table. Hardswish is applied to every head's
+attention output before the heads are concatenated and projected back to
+the token width.
 
 Shrink Attention reduces the token count 4x: queries are the input tokens
 subsampled by ``TokenLayout.subsample`` (each grid's even-index rows and
 columns; the two regions are never mixed), keys and values see all input
-tokens, V channels are doubled again (4 * key_dim per head) and the
+tokens, V is ``config.SHRINK_VALUE_RATIO * key_dim`` wide per head and the
 output projection widens the channels for the next stage. There is no
 residual across it since the token count changes.
 """
@@ -36,7 +37,8 @@ class AffineParams:
 class MhaWeights:
     """Projections for one attention layer plus its bias table.
 
-    wq, wk: [C, N*D]; wv: [C, N*2D]; wo: [N*2D, C].
+    wq, wk: [C, N*D]; wv: [C, N*V]; wo: [N*V, C], with V =
+    ``MHA_VALUE_RATIO * D`` (``weights._build_params`` draws all four).
     ``bias_table`` is the layer's [N, rows, cols] position-bias table; the
     backbone gathers it into the [N, T, T] ``bias`` that ``mha_forward`` adds
     to the scores. The head count N is ``bias_table``'s first extent and the
@@ -52,7 +54,8 @@ class MhaWeights:
 
 @dataclass(eq=False)
 class SaWeights:
-    """Shrink Attention weights: V is 4*D per head and wo maps to C_out > C.
+    """Shrink Attention weights: the projections of ``MhaWeights`` with V =
+    ``SHRINK_VALUE_RATIO * D`` per head, and wo mapping to C_out > C.
 
     As in ``MhaWeights``, N is ``bias_table``'s first extent and D is
     ``wq``'s width over N.

@@ -63,7 +63,7 @@ def patch_embed(image: np.ndarray, ew: EmbedWeights) -> np.ndarray:
     x = affine(image, _PIXEL_SCALE.astype(dt), _PIXEL_SHIFT.astype(dt))
     last = len(ew.convs) - 1
     for i, conv in enumerate(ew.convs):
-        x = affine(conv2d(x, conv.kernel, stride=2, padding=1), conv.scale, conv.shift)
+        x = affine(conv2d(x, conv.kernel, stride=2), conv.scale, conv.shift)
         if i != last:
             hardswish(x, out=x)
     return x
@@ -78,9 +78,10 @@ def global_vector(grid: np.ndarray) -> np.ndarray:
 def _layer_bias(attn_weights, index: np.ndarray) -> np.ndarray:
     """The layer's contiguous [N, Tq, Tk] bias, cached on the weight object.
 
-    Weights are immutable after construction (see the concurrency notes), so
-    the gather is a pure function of the layer and can be reused across
-    frames.
+    The cache holds because no bias table is written after the tree's first
+    forward: ``init_weights`` and ``load_weights`` fill every table before
+    any forward runs, so the gather is a pure function of the layer and is
+    reused across frames.
     """
     cached = getattr(attn_weights, "_bias_cache", None)
     if cached is None:

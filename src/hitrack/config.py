@@ -16,9 +16,11 @@ two Shrink Attention layers each halve the grids, so anything smaller leaves
 a stage with odd or empty grids.
 
 Every variant shares one design beyond this schedule: ``STAGE_BLOCKS``
-residual blocks per stage with ``MLP_RATIO``-wide MLPs, the diagonal
+residual blocks per stage with ``MLP_RATIO``-wide MLPs; attention whose Q and
+K are ``key_dim`` wide per head and whose V is ``MHA_VALUE_RATIO`` times that
+(``SHRINK_VALUE_RATIO`` times in Shrink Attention); the diagonal
 joint-coordinate position encoding with a per-head bias table in every
-attention layer (see ``posenc``), and a Bridge Module whose two stride-2
+attention layer (see ``posenc``); and a Bridge Module whose two stride-2
 transposed-conv upsamplers have ``BRIDGE_KERNEL`` x ``BRIDGE_KERNEL`` kernels.
 
 ``TokenLayout`` fixes the order of the joint token sequence (template first,
@@ -40,6 +42,8 @@ DTYPES = {"float32": np.float32, "float64": np.float64}
 BRIDGE_KERNEL = 4
 STAGE_BLOCKS = (4, 4, 4)
 MLP_RATIO = 2
+MHA_VALUE_RATIO = 2
+SHRINK_VALUE_RATIO = 4
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import center_distance_xywh, iou_xywh
-from .config import BRIDGE_KERNEL, MLP_RATIO, STAGE_BLOCKS, ModelConfig, geometry
+from .config import (BRIDGE_KERNEL, MHA_VALUE_RATIO, MLP_RATIO, SHRINK_VALUE_RATIO, STAGE_BLOCKS,
+                     ModelConfig, geometry)
 from .errors import DataError
-from .routing import make_tracker
+from .routing import ROUTE1, make_tracker
 from .runtime import track_sequence
-
-iou = iou_xywh
 
 SUCCESS_THRESHOLDS = np.linspace(0.0, 1.0, 51)
 
@@ -105,73 +104,57 @@ def _conv_cost(grid_hw, cin, cout) -> LayerCost:
     return LayerCost(macs=h * w * 9 * cin * cout, params=9 * cin * cout)
 
 
-def _embed_cost(config: ModelConfig, size: int, with_params: bool) -> LayerCost:
-    # The two images share one embed, so parameters are counted only once.
+def _embed_cost(config: ModelConfig, size: int) -> LayerCost:
     cost = LayerCost()
     chain = (3,) + config.embed_channels
     grid = size
     for cin, cout in zip(chain[:-1], chain[1:]):
         grid //= 2
         conv = _conv_cost((grid, grid), cin, cout)
-        cost += LayerCost(conv.macs, conv.params + 2 * cout if with_params else 0)
+        cost += LayerCost(conv.macs, conv.params + 2 * cout)  # kernel, affine
     return cost
 
 
-def _stage_cost(config: ModelConfig, stage: int) -> LayerCost:
-    geo = geometry(config)
-    t = geo.stages[stage].layout.n_tokens
-    c = config.channels[stage]
-    n = config.heads[stage]
-    d = config.key_dim
-    r = MLP_RATIO
-    rows, cols = geo.stages[stage].table_shape
-    per_block_macs = (
-        2 * t * c * n * d          # q, k projections
-        + t * c * n * 2 * d        # v projection
-        + n * (t * d * t)          # scores per head
-        + n * (t * t * 2 * d)      # weighted sum per head
-        + t * (2 * n * d) * c      # output projection
-        + 2 * r * t * c * c        # mlp
+def _attention_cost(layer_geo, cin: int, cout: int, n: int, d: int, v: int) -> LayerCost:
+    """An attention layer with its input affine: ``n`` heads with Q and K
+    ``d`` wide and V ``v * d`` wide, Tq queries over Tk keys."""
+    tq, tk = layer_geo.bias_index.shape[:2]
+    rows, cols = layer_geo.table_shape
+    width = n * v * d              # all heads' V
+    macs = (
+        (tq + tk) * cin * n * d    # q, k projections
+        + tk * cin * width         # v projection
+        + n * (tq * d * tk)        # scores per head
+        + tq * tk * width          # weighted sum, all heads
+        + tq * width * cout        # output projection
     )
-    per_block_params = (
-        2 * c                      # attn affine
-        + 2 * c * n * d            # wq, wk
-        + c * n * 2 * d            # wv
-        + 2 * n * d * c            # wo
+    params = (
+        2 * cin                    # affine
+        + 2 * cin * n * d          # wq, wk
+        + cin * width              # wv
+        + width * cout             # wo
         + n * rows * cols          # bias table
-        + 2 * c                    # mlp affine
-        + c * r * c + r * c        # mlp w1, b1
-        + r * c * c + c            # mlp w2, b2
+    )
+    return LayerCost(macs, params)
+
+
+def _stage_cost(config: ModelConfig, stage: int) -> LayerCost:
+    stage_geo = geometry(config).stages[stage]
+    t = stage_geo.layout.n_tokens
+    c = config.channels[stage]
+    r = MLP_RATIO
+    block = _attention_cost(stage_geo, c, c, config.heads[stage], config.key_dim, MHA_VALUE_RATIO)
+    block += LayerCost(
+        macs=2 * r * t * c * c,
+        params=2 * c + c * r * c + r * c + r * c * c + c,  # affine, w1, b1, w2, b2
     )
     blocks = STAGE_BLOCKS[stage]
-    return LayerCost(per_block_macs * blocks, per_block_params * blocks)
+    return LayerCost(block.macs * blocks, block.params * blocks)
 
 
 def _shrink_cost(config: ModelConfig, idx: int) -> LayerCost:
-    geo = geometry(config)
-    t_in = geo.shrinks[idx].layout.n_tokens
-    t_out = geo.stages[idx + 1].layout.n_tokens
-    cin = config.channels[idx]
-    cout = config.channels[idx + 1]
-    n = config.heads[idx + 1]
-    d = config.key_dim
-    rows, cols = geo.shrinks[idx].table_shape
-    macs = (
-        t_out * cin * n * d        # q projection (subsampled tokens)
-        + t_in * cin * n * d       # k projection
-        + t_in * cin * n * 4 * d   # v projection (doubled again)
-        + n * (t_out * d * t_in)   # scores
-        + n * (t_out * t_in * 4 * d)
-        + t_out * (4 * n * d) * cout
-    )
-    params = (
-        2 * cin
-        + 2 * cin * n * d
-        + cin * n * 4 * d
-        + 4 * n * d * cout
-        + n * rows * cols
-    )
-    return LayerCost(macs, params)
+    return _attention_cost(geometry(config).shrinks[idx], config.channels[idx], config.channels[idx + 1],
+                           config.heads[idx + 1], config.key_dim, SHRINK_VALUE_RATIO)
 
 
 def _bridge_cost(config: ModelConfig) -> LayerCost:
@@ -216,9 +199,10 @@ def flop_account(config: ModelConfig) -> CostReport:
     ``modules`` sums to the plain full forward (embed through Head2); the
     router and Head1 appear under ``extras``.
     """
-    embed = LayerCost()
-    embed += _embed_cost(config, config.template_size, with_params=False)
-    embed += _embed_cost(config, config.search_size, with_params=True)
+    template = _embed_cost(config, config.template_size)
+    search = _embed_cost(config, config.search_size)
+    # The two images share one embed, so its parameters are counted once.
+    embed = LayerCost(template.macs + search.macs, search.params)
     modules = {
         "embed": embed,
         "stage1": _stage_cost(config, 0),
@@ -318,7 +302,7 @@ def threshold_sweep(t_grid, sequences, params) -> list[SweepRow]:
         for i, t in enumerate(t_grid):
             result = track_sequence(frames, gt[0], make_tracker("dyhit", params, t))
             ious[i].extend(iou_xywh(p, g) for p, g in zip(result.boxes, gt))
-            r1[i] += sum(1 for d in result.decisions if d.route == "route1")
+            r1[i] += sum(1 for d in result.decisions if d.route == ROUTE1)
             seconds[i].extend(result.forward_seconds)
     # median per-frame forward time: robust against GC and scheduler spikes
     medians = [float(np.median(s)) for s in seconds]

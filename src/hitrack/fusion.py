@@ -42,9 +42,8 @@ def bridge(s_max: np.ndarray, s_mid: np.ndarray, s_min: np.ndarray,
             raise ShapeError(
                 f"upsampler {kernel.shape} does not map {low.shape[2]} -> {high.shape[2]} channels")
     with mac_scope("bridge"):
-        pad = (w.up1.shape[0] - 2) // 2
-        mid = add_into(conv_transpose2d(s_min, w.up1, stride=2, padding=pad), s_mid)
-        return add_into(conv_transpose2d(mid, w.up2, stride=2, padding=pad), s_max)
+        mid = add_into(conv_transpose2d(s_min, w.up1), s_mid)
+        return add_into(conv_transpose2d(mid, w.up2), s_max)
 
 
 def soft_argmax(heatmap: np.ndarray) -> tuple[float, float]:
@@ -77,7 +76,7 @@ def _branch_logits(first: np.ndarray, branch) -> np.ndarray:
     x = first
     for conv, following in zip(branch, branch[1:]):
         x = add_into(x, conv.bias)
-        x = conv2d(hardswish(x, out=x), following.kernel, stride=1, padding=1)
+        x = conv2d(hardswish(x, out=x), following.kernel)
     return add_into(x, branch[-1].bias)[:, :, 0]
 
 
@@ -100,7 +99,7 @@ def corner_head(o_s: np.ndarray, g: np.ndarray, w: CornerHeadWeights,
         sim /= math.sqrt(c)
         attn = softmax_rows(sim, out=sim).reshape(h * wd, 1)
         weighted = (flat * attn).reshape(h, wd, c)
-        tl_first, br_first = conv2d_many(weighted, (w.tl[0].kernel, w.br[0].kernel), stride=1, padding=1)
+        tl_first, br_first = conv2d_many(weighted, (w.tl[0].kernel, w.br[0].kernel))
         tl = _branch_logits(tl_first, w.tl).reshape(1, h * wd)
         br = _branch_logits(br_first, w.br).reshape(1, h * wd)
         tl = softmax_rows(tl, out=tl).reshape(h, wd)

@@ -19,6 +19,9 @@ operations in the same order as the plain expression in each docstring, so
 results are bit-identical to it. An in-place step runs only when it keeps the
 dtype; otherwise the kernel promotes as the plain expression does.
 
+Neither convolution takes a padding: ``conv2d`` pads "same" for odd-sized
+kernels and ``conv_transpose2d`` doubles the grid for even-sized ones.
+
 Multiply-accumulate counts (``out.size * k`` per matmul) are recorded into
 every ``MacCounter`` opened by ``count_macs`` in the current context, under
 the label of the innermost ``mac_scope`` (``"unscoped"`` outside any).
@@ -190,13 +193,13 @@ def affine(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return add_into(x * scale, shift)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
+    """Windows of an [H, W, C] map zero-padded ``kh // 2`` rows and
+    ``kw // 2`` columns on each side, as [OH*OW, kh*kw*C] rows."""
     h, w, c = x.shape
-    if padding:
-        padded = np.zeros((h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
-        padded[padding:padding + h, padding:padding + w] = x
-    else:
-        padded = np.ascontiguousarray(x)
+    py, px = kh // 2, kw // 2
+    padded = np.zeros((h + 2 * py, w + 2 * px, c), dtype=x.dtype)
+    padded[py:py + h, px:px + w] = x
     ph, pw = padded.shape[:2]
     oh = (ph - kh) // stride + 1
     ow = (pw - kw) // stride + 1
@@ -216,8 +219,8 @@ def _kernel_extent(x: np.ndarray, kernel: np.ndarray) -> tuple[int, int]:
     return kernel.shape[:2]
 
 
-def conv2d_many(x: np.ndarray, kernels, stride: int = 1, padding: int = 0) -> list[np.ndarray]:
-    """2-D convolutions of one [H, W, Cin] map with each of several
+def conv2d_many(x: np.ndarray, kernels, stride: int = 1) -> list[np.ndarray]:
+    """``conv2d`` of one [H, W, Cin] map with each of several
     [kh, kw, Cin, Cout] kernels of one extent, on one shared im2col."""
     x = np.asarray(x)
     kernels = [np.asarray(k) for k in kernels]
@@ -225,20 +228,24 @@ def conv2d_many(x: np.ndarray, kernels, stride: int = 1, padding: int = 0) -> li
     if len(extents) != 1:
         raise ShapeError(f"conv2d_many needs kernels of one extent, got {sorted(extents)}")
     kh, kw = extents.pop()
-    cols, oh, ow = _im2col(x, kh, kw, stride, padding)
+    cols, oh, ow = _im2col(x, kh, kw, stride)
     return [matmul(cols, k.reshape(-1, k.shape[3])).reshape(oh, ow, k.shape[3]) for k in kernels]
 
 
-def conv2d(x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
-    """2-D convolution of an [H, W, Cin] map with a [kh, kw, Cin, Cout] kernel."""
-    return conv2d_many(x, (kernel,), stride, padding)[0]
+def conv2d(x: np.ndarray, kernel: np.ndarray, stride: int = 1) -> np.ndarray:
+    """2-D "same" convolution of an [H, W, Cin] map with an odd-sized
+    [kh, kw, Cin, Cout] kernel: zero padding of ``kh // 2`` and ``kw // 2``
+    keeps H x W at stride 1 and gives ceil(H / 2) x ceil(W / 2) at stride 2."""
+    return conv2d_many(x, (kernel,), stride)[0]
 
 
-def conv_transpose2d(x: np.ndarray, kernel: np.ndarray, stride: int = 2, padding: int = 0) -> np.ndarray:
-    """Transposed 2-D convolution (stride-2 upsampling in this codebase).
+def conv_transpose2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Transposed 2-D convolution that doubles the grid: [H, W, Cin] ->
+    [2H, 2W, Cout] for an even-sized [kh, kw, Cin, Cout] kernel.
 
-    Output spatial extents are ``stride * H + kh - stride - 2 * padding``; with
-    kernel 2 / padding 0 or kernel 4 / padding 1 that is exactly ``2 * H``.
+    The stride is 2, and ``(k - 2) // 2`` rows and columns are cropped from
+    each side of the full ``2 * (H - 1) + k`` output (1 for the Bridge's
+    4 x 4 kernels, none for 2 x 2).
     """
     x = np.asarray(x)
     kernel = np.asarray(kernel)
@@ -249,13 +256,9 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray, stride: int = 2, padding
     if c != cin:
         raise ShapeError(f"conv_transpose2d channel mismatch: input has {c}, kernel expects {cin}")
     taps = matmul(x.reshape(h * w, cin), kernel.reshape(kh * kw, cin, cout)).reshape(kh, kw, h, w, cout)
-    full_h = stride * (h - 1) + kh
-    full_w = stride * (w - 1) + kw
-    out = np.zeros((full_h, full_w, cout), dtype=taps.dtype)
+    out = np.zeros((2 * (h - 1) + kh, 2 * (w - 1) + kw, cout), dtype=taps.dtype)
     for di in range(kh):
         for dj in range(kw):
-            out[di:di + stride * h:stride, dj:dj + stride * w:stride] += taps[di, dj]
-    if padding:
-        out = out[padding:full_h - padding, padding:full_w - padding]
-    return out
-
+            out[di:di + 2 * h:2, dj:dj + 2 * w:2] += taps[di, dj]
+    py, px = (kh - 2) // 2, (kw - 2) // 2
+    return out[py:py + 2 * h, px:px + 2 * w]

@@ -39,7 +39,8 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .attention import AffineParams, BlockWeights, MhaWeights, MlpWeights, SaWeights
-from .config import BRIDGE_KERNEL, MLP_RATIO, STAGE_BLOCKS, ModelConfig, geometry
+from .config import (BRIDGE_KERNEL, MHA_VALUE_RATIO, MLP_RATIO, SHRINK_VALUE_RATIO, STAGE_BLOCKS,
+                     ModelConfig, geometry)
 from .errors import DataError, ShapeError
 
 MAGIC = b"HITW"
@@ -161,18 +162,19 @@ def _build_params(config: ModelConfig, make) -> ModelParams:
         rows, cols = stage_geo.table_shape
         return zeros((n_heads, rows, cols))
 
+    def projections(cin, cout, n_heads, v):
+        """wq, wk [cin, N*D], wv [cin, N*v*D] and wo [N*v*D, cout], drawn in that order."""
+        width = n_heads * v * d
+        return dict(wq=make((cin, n_heads * d), cin, dt), wk=make((cin, n_heads * d), cin, dt),
+                    wv=make((cin, width), cin, dt), wo=make((width, cout), width, dt))
+
     stages = []
     for s, c in enumerate(config.channels):
         n_heads = config.heads[s]
         blocks = []
         for _ in range(STAGE_BLOCKS[s]):
-            attn = MhaWeights(
-                wq=make((c, n_heads * d), c, dt),
-                wk=make((c, n_heads * d), c, dt),
-                wv=make((c, n_heads * 2 * d), c, dt),
-                wo=make((n_heads * 2 * d, c), n_heads * 2 * d, dt),
-                bias_table=bias_table(geo.stages[s], n_heads),
-            )
+            attn = MhaWeights(**projections(c, c, n_heads, MHA_VALUE_RATIO),
+                              bias_table=bias_table(geo.stages[s], n_heads))
             hidden = MLP_RATIO * c
             mlp = MlpWeights(
                 w1=make((c, hidden), c, dt), b1=zeros(hidden),
@@ -193,10 +195,7 @@ def _build_params(config: ModelConfig, make) -> ModelParams:
         n_heads = config.heads[s + 1]
         shrinks.append(SaWeights(
             affine=AffineParams(ones(cin), zeros(cin)),
-            wq=make((cin, n_heads * d), cin, dt),
-            wk=make((cin, n_heads * d), cin, dt),
-            wv=make((cin, n_heads * 4 * d), cin, dt),
-            wo=make((n_heads * 4 * d, cout), n_heads * 4 * d, dt),
+            **projections(cin, cout, n_heads, SHRINK_VALUE_RATIO),
             bias_table=bias_table(geo.stages[s], n_heads),
         ))
 

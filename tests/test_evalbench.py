@@ -6,9 +6,10 @@ import pytest
 
 import hitrack
 from hitrack import tensor
+from hitrack.boxes import iou_xywh
 from hitrack.errors import DataError
 from hitrack.evalbench import (SUCCESS_THRESHOLDS, evaluate_trace, flop_account,
-                               iou, latency_bench, sweep_csv, threshold_sweep)
+                               latency_bench, sweep_csv, threshold_sweep)
 from hitrack.routing import ROUTE2, make_tracker
 from hitrack.runtime import gen_synthetic
 from hitrack.weights import init_weights
@@ -46,17 +47,17 @@ def naive_metrics(pred, gt):
 
 class TestIou:
     def test_identical(self):
-        assert iou((2, 3, 4, 5), (2, 3, 4, 5)) == 1.0
+        assert iou_xywh((2, 3, 4, 5), (2, 3, 4, 5)) == 1.0
 
     def test_disjoint(self):
-        assert iou((0, 0, 1, 1), (5, 5, 1, 1)) == 0.0
+        assert iou_xywh((0, 0, 1, 1), (5, 5, 1, 1)) == 0.0
 
     def test_one_seventh(self):
         # corner boxes (0,0,2,2) vs (1,1,3,3): I=1, U=7
-        assert np.isclose(iou((0, 0, 2, 2), (1, 1, 2, 2)), 1.0 / 7.0)
+        assert np.isclose(iou_xywh((0, 0, 2, 2), (1, 1, 2, 2)), 1.0 / 7.0)
 
     def test_degenerate_zero(self):
-        assert iou((0, 0, 0, 2), (0, 0, 2, 2)) == 0.0
+        assert iou_xywh((0, 0, 0, 2), (0, 0, 2, 2)) == 0.0
 
 
 class TestEvaluateTrace:
@@ -241,7 +242,7 @@ class TestThresholdSweep:
         for seq in suite:
             gt = [tuple(b) for b in seq.boxes]
             res = track_sequence(list(seq.frames), gt[0], make_tracker("route1", toy_params))
-            ious.extend(iou(p, g) for p, g in zip(res.boxes, gt))
+            ious.extend(iou_xywh(p, g) for p, g in zip(res.boxes, gt))
         assert np.isclose(rows[0].metric, np.mean(ious), atol=1e-12)
 
     def test_route1_fraction_non_increasing(self, toy_params, suite):

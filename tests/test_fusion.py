@@ -32,8 +32,8 @@ class TestBridge:
         s_mid = rng.standard_normal((4, 4, 6))
         s_min = rng.standard_normal((2, 2, 8))
         out = bridge(s_max, s_mid, s_min, w)
-        step1 = s_mid + tensor.conv_transpose2d(s_min, w.up1, 2, 1)
-        step2 = s_max + tensor.conv_transpose2d(step1, w.up2, 2, 1)
+        step1 = s_mid + tensor.conv_transpose2d(s_min, w.up1)
+        step2 = s_max + tensor.conv_transpose2d(step1, w.up2)
         assert np.array_equal(out, step2)
 
     def test_toy_shape_chain_1_2_4(self):
@@ -51,8 +51,8 @@ class TestBridge:
         s_max = rng.standard_normal((8, 8, 4))
         s_mid = rng.standard_normal((4, 4, 6))
         s_min = rng.standard_normal((2, 2, 8))
-        step1 = s_mid + tensor.conv_transpose2d(s_min, w.up1, stride=2, padding=0)
-        expect = s_max + tensor.conv_transpose2d(step1, w.up2, stride=2, padding=0)
+        step1 = s_mid + tensor.conv_transpose2d(s_min, w.up1)
+        expect = s_max + tensor.conv_transpose2d(step1, w.up2)
         assert np.array_equal(bridge(s_max, s_mid, s_min, w), expect)
 
     def test_shape_mismatch(self):
@@ -142,7 +142,7 @@ class TestCornerHead:
         def run_branch(branch):
             x = weighted
             for i, cb in enumerate(branch):
-                x = tensor.conv2d(x, cb.kernel, 1, 1) + cb.bias
+                x = tensor.conv2d(x, cb.kernel) + cb.bias
                 if i != len(branch) - 1:
                     x = tensor.hardswish(x)
             return tensor.softmax_rows(x[:, :, 0].reshape(1, 16)).reshape(4, 4)

@@ -323,7 +323,7 @@ class TestConvTransposeOracle:
         x = rng.standard_normal((4, 4, 24)).astype(dtype)
         kernel = rng.standard_normal((k, k, 24, 16)).astype(dtype)
         with tensor.count_macs() as counter:
-            out = tensor.conv_transpose2d(x, kernel, 2, padding)
+            out = tensor.conv_transpose2d(x, kernel)
         with tensor.count_macs() as ref_counter:
             expect = reference_conv_transpose2d(x, kernel, 2, padding)
         assert out.dtype == expect.dtype == dtype
@@ -335,31 +335,30 @@ class TestConvTranspose2x:
     def test_zero_kernel_zero_output(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((3, 4, 2))
-        out = tensor.conv_transpose2d(x, np.zeros((2, 2, 2, 5)), stride=2, padding=0)
+        out = tensor.conv_transpose2d(x, np.zeros((2, 2, 2, 5)))
         assert out.shape == (6, 8, 5)
         assert not out.any()
 
     def test_single_pixel_expansion(self):
         v = 2.5
-        out = tensor.conv_transpose2d(np.full((1, 1, 1), v), np.ones((2, 2, 1, 1)), stride=2, padding=0)
+        out = tensor.conv_transpose2d(np.full((1, 1, 1), v), np.ones((2, 2, 1, 1)))
         assert np.array_equal(out, np.full((2, 2, 1), v))
 
     def test_output_doubles_spatially(self):
         rng = np.random.default_rng(8)
-        out = tensor.conv_transpose2d(rng.standard_normal((4, 4, 3)), rng.standard_normal((2, 2, 3, 6)),
-                                      stride=2, padding=0)
+        out = tensor.conv_transpose2d(rng.standard_normal((4, 4, 3)), rng.standard_normal((2, 2, 3, 6)))
         assert out.shape == (8, 8, 6)
 
     def test_linearity_exact_on_dyadic_values(self):
         rng = np.random.default_rng(9)
         x = rng.integers(-8, 8, size=(3, 3, 2)).astype(np.float64) * 0.25
         k = rng.integers(-4, 4, size=(2, 2, 2, 3)).astype(np.float64) * 0.5
-        assert np.array_equal(tensor.conv_transpose2d(2.0 * x, k, stride=2, padding=0),
-                              2.0 * tensor.conv_transpose2d(x, k, stride=2, padding=0))
+        assert np.array_equal(tensor.conv_transpose2d(2.0 * x, k),
+                              2.0 * tensor.conv_transpose2d(x, k))
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            tensor.conv_transpose2d(np.zeros((2, 2, 3)), np.zeros((2, 2, 4, 1)), stride=2, padding=0)
+            tensor.conv_transpose2d(np.zeros((2, 2, 3)), np.zeros((2, 2, 4, 1)))
 
     def test_scatter_oracle(self):
         # out[2i+di, 2j+dj, co] accumulates x[i, j, ci] * k[di, dj, ci, co]
@@ -373,14 +372,13 @@ class TestConvTranspose2x:
                     for dj in range(2):
                         for ci in range(2):
                             expect[2 * i + di, 2 * j + dj] += x[i, j, ci] * k[di, dj, ci]
-        assert np.allclose(tensor.conv_transpose2d(x, k, stride=2, padding=0), expect, atol=1e-12)
+        assert np.allclose(tensor.conv_transpose2d(x, k), expect, atol=1e-12)
 
 
 class TestConvTransposeK4:
     def test_doubles_with_padding_one(self):
         rng = np.random.default_rng(11)
-        out = tensor.conv_transpose2d(rng.standard_normal((4, 4, 3)), rng.standard_normal((4, 4, 3, 2)),
-                                      stride=2, padding=1)
+        out = tensor.conv_transpose2d(rng.standard_normal((4, 4, 3)), rng.standard_normal((4, 4, 3, 2)))
         assert out.shape == (8, 8, 2)
 
     def test_overlap_scatter_oracle(self):
@@ -395,7 +393,7 @@ class TestConvTransposeK4:
                     for dj in range(4):
                         full[2 * i + di, 2 * j + dj] += x[i, j] @ k[di, dj]
         expect = full[1:-1, 1:-1]
-        assert np.allclose(tensor.conv_transpose2d(x, k, 2, 1), expect, atol=1e-12)
+        assert np.allclose(tensor.conv_transpose2d(x, k), expect, atol=1e-12)
 
 
 class TestAffine:
@@ -433,12 +431,12 @@ class TestAffine:
 class TestConv2d:
     def test_same_padding_shape(self):
         rng = np.random.default_rng(13)
-        out = tensor.conv2d(rng.standard_normal((5, 7, 3)), rng.standard_normal((3, 3, 3, 4)), 1, 1)
+        out = tensor.conv2d(rng.standard_normal((5, 7, 3)), rng.standard_normal((3, 3, 3, 4)))
         assert out.shape == (5, 7, 4)
 
     def test_stride2_shape(self):
         rng = np.random.default_rng(14)
-        out = tensor.conv2d(rng.standard_normal((8, 8, 2)), rng.standard_normal((3, 3, 2, 5)), 2, 1)
+        out = tensor.conv2d(rng.standard_normal((8, 8, 2)), rng.standard_normal((3, 3, 2, 5)), 2)
         assert out.shape == (4, 4, 5)
 
     def test_channel_mismatch(self):
@@ -457,7 +455,28 @@ class TestConv2d:
                 window = padded[i:i + 3, j:j + 3]
                 for co in range(3):
                     expect[i, j, co] = (window * k[:, :, :, co]).sum()
-        assert np.allclose(tensor.conv2d(x, k, 1, 1), expect, atol=1e-12)
+        assert np.allclose(tensor.conv2d(x, k), expect, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_same_padding_follows_from_kernel(self, k, stride):
+        # pads k // 2 on every side: H x W kept at stride 1, halved at stride 2
+        rng = np.random.default_rng(100 + k)
+        h, w, cin, cout = 6, 8, 2, 3
+        x = rng.standard_normal((h, w, cin))
+        kernel = rng.standard_normal((k, k, cin, cout))
+        p = k // 2
+        padded = np.zeros((h + 2 * p, w + 2 * p, cin))
+        padded[p:p + h, p:p + w] = x
+        expect = np.zeros((h // stride, w // stride, cout))
+        for i in range(h // stride):
+            for j in range(w // stride):
+                window = padded[stride * i:stride * i + k, stride * j:stride * j + k]
+                for co in range(cout):
+                    expect[i, j, co] = (window * kernel[:, :, :, co]).sum()
+        out = tensor.conv2d(x, kernel, stride)
+        assert out.shape == (h // stride, w // stride, cout)
+        assert np.allclose(out, expect, atol=1e-12)
 
 
 class TestConv2dMany:
@@ -467,9 +486,9 @@ class TestConv2dMany:
         x = rng.standard_normal((6, 7, 5)).astype(dtype)
         kernels = [rng.standard_normal((3, 3, 5, cout)).astype(dtype) for cout in (4, 1)]
         with tensor.count_macs() as counter:
-            outs = tensor.conv2d_many(x, kernels, stride=1, padding=1)
+            outs = tensor.conv2d_many(x, kernels)
         with tensor.count_macs() as ref_counter:
-            expect = [tensor.conv2d(x, k, stride=1, padding=1) for k in kernels]
+            expect = [tensor.conv2d(x, k) for k in kernels]
         for got, want in zip(outs, expect):
             assert_same_bytes(got, want)
         assert counter.counts == ref_counter.counts
